@@ -1,10 +1,11 @@
-"""Shared plumbing for the spark-submit entrypoints.
+"""Shared plumbing for the job entrypoints.
 
-Each job builds (or reuses) a SparkSession the same way conftest.py does and
-prints a paper-vs-measured table. Run as::
+The jobs that process rows on Spark (``gpart_job``, ``compredict_job``)
+build (or reuse) a SparkSession the same way conftest.py does; the table
+jobs print a paper-vs-measured table. Run as::
 
-    spark-submit jobs/<name>.py [args]
-    # or simply: python jobs/<name>.py
+    python jobs/<name>.py [args]
+    # or: spark-submit jobs/<name>.py [args]
 """
 from __future__ import annotations
 

@@ -1,20 +1,13 @@
-"""OPTASSIGN as a standalone Spark job: assign tiers + schemes to synthetic
-partitions with the Theorem-3 greedy (DataFrame implementation)."""
-import os
-import sys
-
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # spark-submit friendliness
-
+"""OPTASSIGN as a standalone job: assign tiers + schemes to synthetic
+partitions with the Theorem-3 greedy."""
 import numpy as np
 import pandas as pd
 
-from _common import get_spark
 from repro.core import cost_model as cm
-from repro.core.optassign import greedy_assign
+from repro.core.optassign import assign
 
 
 def main(n: int = 200, months: float = 6.0, seed: int = 0) -> None:
-    spark = get_spark("optassign")
     g = np.random.default_rng(seed)
     parts = pd.DataFrame(
         {
@@ -30,13 +23,9 @@ def main(n: int = 200, months: float = 6.0, seed: int = 0) -> None:
             for i in range(n)
         ]
     )
-    out = greedy_assign(
-        spark, spark.createDataFrame(parts), spark.createDataFrame(preds),
-        cm.make_tiers(), months=months,
-    ).toPandas()
+    out = assign(parts, preds, cm.make_tiers(), months=months)
     print(out.groupby(["tier", "scheme"]).size().to_string())
     print(f"total weighted cost: {out['weighted_cost'].sum():.1f} cents")
-    spark.stop()
 
 
 if __name__ == "__main__":

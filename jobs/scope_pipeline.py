@@ -10,47 +10,35 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # spark-submit f
 
 import tempfile
 
-from _common import get_spark, show
+from _common import show
 from repro.core import pipeline as pl
 from repro.experiments import table09
 from repro.storage.tiers import TieredStore
 
 
 def main() -> None:
-    spark = get_spark("scope-pipeline")  # jobs run under spark-submit
     tbl, results = table09.run()
     show("Table IX policy grid (Enterprise Data II stand-in)", table09.PAPER, tbl)
-    winner = results["scope_total"]
+    tables, queries = table09.inputs()
+    parts = {
+        p.pid: p
+        for p in pl.gpart_partitions(
+            tables, queries, max_rows=table09.MAX_ROWS,
+            s_thresh_frac=table09.S_THRESH_FRAC,
+        )
+    }
+    assignment = results["scope_total"].assignment
+    unknown = set(assignment["pid"]) - set(parts)
+    if unknown:
+        raise ValueError(f"planned partitions not rebuilt: {sorted(unknown)[:5]}")
     with tempfile.TemporaryDirectory() as root:
         store = TieredStore(root)
-        tables, queries = _rebuild_inputs()
-        tables_parts = {
-            p.pid: p
-            for p in pl.gpart_partitions(
-                tables, queries, max_rows=2000, s_thresh_frac=0.1
-            )
-        }
-        for row in winner.assignment.itertuples(index=False):
-            p = tables_parts.get(row.pid)
-            if p is not None and len(p.sample):
-                store.put(row.pid, p.sample, tier=row.tier, scheme=row.scheme)
+        for row in assignment.itertuples(index=False):
+            store.put(row.pid, parts[row.pid].sample, tier=row.tier, scheme=row.scheme)
         store.advance(5.5)
         print("\nTiered-write bill (cents, physical sample scale):")
         print(f"  write={store.meter.write:.6f} storage={store.meter.storage:.6f}")
         print(f"  objects per tier: { {t: sum(1 for m in store.catalog.values() if m.tier == t) for t in store.tiers} }")
-    spark.stop()
-
-
-def _rebuild_inputs():
-    from repro import synth_data as sd
-    from repro.experiments.common import enterprise_table_files
-    from repro.workload import queries as wq
-
-    tables = enterprise_table_files(sf=0.01, n_files=24, seed=0)
-    queries = wq.gen_zipf_workload(
-        tables, n_queries=1200, alpha=1.5, seed=0, sort_cols=sd.ENTERPRISE_SORT_COL
-    )
-    return tables, queries
 
 
 if __name__ == "__main__":

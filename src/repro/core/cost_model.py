@@ -92,8 +92,6 @@ def make_tiers(
         cap = float("inf")
         if total_gb is not None:
             cap = CAPACITY_FRACTION[n] * total_gb
-            if cap != float("inf"):
-                cap = cap
         tiers.append(
             Tier(
                 name=n,
@@ -154,6 +152,37 @@ class Assignment:
         )
 
 
+def cost_terms(
+    *,
+    span_gb,
+    accesses,
+    months,
+    storage_cost,
+    read_cost,
+    ttfb,
+    delta,
+    ratio=1.0,
+    decomp_sec_per_gb=0.0,
+) -> tuple[float, Assignment]:
+    """The ILP objective terms — the one place they are computed.
+
+    Every argument is a float or an array (numpy / pandas) of candidates;
+    ``delta`` is the tier-change cost Δ(u, v) in cents/GB. Returns
+    ``(stored_gb, Assignment)``, the fields of the :class:`Assignment`
+    having the arguments' shape.
+    """
+    stored_gb = span_gb / ratio
+    d_time = decomp_sec_per_gb * span_gb
+    return stored_gb, Assignment(
+        storage=storage_cost * stored_gb * months,
+        read=accesses * read_cost * stored_gb,
+        decompress=accesses * COMPUTE_COST * d_time,
+        transfer=delta * stored_gb,
+        read_latency=ttfb,
+        decompress_latency=d_time,
+    )
+
+
 def assignment_cost(
     *,
     span_gb: float,
@@ -172,8 +201,6 @@ def assignment_cost(
     *uncompressed* span, matching the paper's D_i^k "decompression time"
     per access of the partition (Table VIII reports sec/GB).
     """
-    stored_gb = span_gb / ratio
-    d_time = decomp_sec_per_gb * span_gb
     if current_tier == tier.name:
         delta = 0.0
     else:
@@ -181,14 +208,17 @@ def assignment_cost(
         # or non-standard source tiers), dst write from the tier itself so
         # custom Tier objects (tests, reductions) price correctly.
         delta = (READ_COST.get(current_tier, 0.0) if current_tier else 0.0) + tier.write_cost
-    return Assignment(
-        storage=tier.storage_cost * stored_gb * months,
-        read=accesses * tier.read_cost * stored_gb,
-        decompress=accesses * COMPUTE_COST * d_time,
-        transfer=delta * stored_gb,
-        read_latency=tier.ttfb,
-        decompress_latency=d_time,
-    )
+    return cost_terms(
+        span_gb=span_gb,
+        accesses=accesses,
+        months=months,
+        storage_cost=tier.storage_cost,
+        read_cost=tier.read_cost,
+        ttfb=tier.ttfb,
+        delta=delta,
+        ratio=ratio,
+        decomp_sec_per_gb=decomp_sec_per_gb,
+    )[1]
 
 
 def latency_feasible(

@@ -5,19 +5,15 @@ edges carry the *fractional overlap* ``w = Ov(u, v) / Sp(u ∪ v)``. G-PART
 repeatedly merges the max-weight edge's endpoints (max-heap), subject to
 the access-comparability feasibility constraint and a soft span cap
 ``S_thresh``; merged nodes below the cap re-enter the heap with recomputed
-edges. The heap-greedy is inherently sequential and runs on the driver over
-partition *metadata*; the pairwise overlap graph for large inputs is built
-distributively (:func:`overlap_edges_spark`).
+edges. The heap-greedy is inherently sequential and runs in Python over
+partition *metadata* (file sets, spans, access counts); the edges are
+computed pairwise from the file sets as the heap is built.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from dataclasses import dataclass
 
 from repro.core.ilp import FilePart, merge_feasible, span_of
 
@@ -141,49 +137,3 @@ def duplication(merges: list[MergedPartition], file_sizes: dict[str, float]) -> 
 def read_cost(merges: list[MergedPartition]) -> float:
     """Expected read cost Σ Sp(M)·ρ(M) (the MERGE PARTITIONS budget metric)."""
     return sum(m.span * m.rho for m in merges)
-
-
-# --------------------------------------------------------------------------
-# Distributed overlap-graph construction
-# --------------------------------------------------------------------------
-def overlap_edges_spark(
-    spark: SparkSession,
-    part_files: DataFrame,
-    file_sizes: DataFrame,
-) -> DataFrame:
-    """Pairwise overlap sizes via a Spark self-join.
-
-    ``part_files``: (pid, file) — one row per file per initial partition.
-    ``file_sizes``: (file, size_gb).
-    Returns (pid_a, pid_b, overlap_gb) with pid_a < pid_b and overlap > 0.
-    """
-    pf = part_files.join(file_sizes, "file")
-    a = pf.select(
-        F.col("pid").alias("pid_a"), "file", F.col("size_gb").alias("sz")
-    )
-    b = pf.select(F.col("pid").alias("pid_b"), "file")
-    return (
-        a.join(b, "file")
-        .where(F.col("pid_a") < F.col("pid_b"))
-        .groupBy("pid_a", "pid_b")
-        .agg(F.sum("sz").alias("overlap_gb"))
-        .where(F.col("overlap_gb") > 0)
-    )
-
-
-def overlap_edges_python(
-    parts: list[FilePart], file_sizes: dict[str, float]
-) -> pd.DataFrame:
-    """Driver-side twin of :func:`overlap_edges_spark` (tested for equality)."""
-    rows = []
-    for a, b in itertools.combinations(sorted(parts, key=lambda p: p.pid), 2):
-        common = a.files & b.files
-        if common:
-            rows.append(
-                {
-                    "pid_a": a.pid,
-                    "pid_b": b.pid,
-                    "overlap_gb": span_of(frozenset(common), file_sizes),
-                }
-            )
-    return pd.DataFrame(rows, columns=["pid_a", "pid_b", "overlap_gb"])

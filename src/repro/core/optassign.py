@@ -1,31 +1,22 @@
-"""OPTASSIGN (§IV): optimal tier + compression assignment.
+"""OPTASSIGN (§IV): optimal tier + compression assignment, in pandas.
 
-The general capacity-free case is Theorem 3's greedy — *per partition, pick
-the cheapest latency-feasible (tier, scheme)* — expressed here as a Spark
-DataFrame job (per the reproduction plan): build the candidate relation
-``partitions x tiers x schemes`` with Catalyst expressions for every cost
-term of the ILP objective, filter by the latency constraint, and keep the
-min-cost row per partition with a window function. Capacity-constrained
-instances run a driver-side repair loop over the collected candidate table;
-the exact branch-and-bound in :mod:`repro.core.ilp` is the test oracle.
-
-A vectorised numpy fast path (:func:`greedy_assign_numpy`) serves the
-experiment harnesses that sweep many horizons/hyper-parameters; tests assert
-it agrees with the Spark job row-for-row.
+:func:`candidate_frame_numpy` builds the candidate relation ``partitions x
+tiers x schemes`` with every term of the ILP objective (computed by
+:func:`repro.core.cost_model.cost_terms`) and drops the rows that break the
+latency constraint, a fixed scheme or archive residency.
+:func:`assign_candidates` keeps the cheapest row per partition — Theorem 3's
+greedy, optimal without capacity bounds — and runs :func:`repair_capacity`
+when a tier has a finite capacity. :func:`assign` chains the two. The exact
+branch-and-bound in :mod:`repro.core.ilp` is the test oracle.
 """
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
-from pyspark.sql import functions as F
 
 from repro.core import cost_model as cm
 
-#: Canonical candidate/assignment columns produced by the jobs below.
+#: Canonical candidate/assignment columns.
 ASSIGN_COLS = [
     "pid",
     "tier",
@@ -41,151 +32,6 @@ ASSIGN_COLS = [
 ]
 
 
-def tiers_df(spark: SparkSession, tiers: list[cm.Tier]) -> DataFrame:
-    """The tier dimension table."""
-    return spark.createDataFrame(
-        pd.DataFrame(
-            {
-                "tier": [t.name for t in tiers],
-                "t_storage": [t.storage_cost for t in tiers],
-                "t_read": [t.read_cost for t in tiers],
-                "t_write": [t.write_cost for t in tiers],
-                "t_ttfb": [t.ttfb for t in tiers],
-                "t_capacity": [
-                    t.capacity_gb if np.isfinite(t.capacity_gb) else float(2**60)
-                    for t in tiers
-                ],
-            }
-        )
-    )
-
-
-def with_none_scheme(
-    spark: SparkSession, partitions: DataFrame, predictions: DataFrame | None
-) -> DataFrame:
-    """Predictions union'd with the mandatory 'no compression' option (§IV-A:
-    R=1, D=0 for all partitions). ``predictions=None`` means K=0 (tiering only).
-    """
-    none_rows = partitions.select(
-        F.col("pid"),
-        F.lit("none").alias("scheme"),
-        F.lit(1.0).alias("ratio"),
-        F.lit(0.0).alias("decomp_sec_per_gb"),
-    )
-    if predictions is None:
-        return none_rows
-    preds = predictions.select("pid", "scheme", "ratio", "decomp_sec_per_gb").where(
-        F.col("scheme") != "none"
-    )
-    return none_rows.unionByName(preds)
-
-
-def candidates(
-    spark: SparkSession,
-    partitions: DataFrame,
-    predictions: DataFrame | None,
-    tiers: list[cm.Tier],
-    *,
-    months: float,
-    weights: cm.CostWeights = cm.CostWeights(),
-    enforce_archive_residency: bool = True,
-) -> DataFrame:
-    """The feasible candidate relation with the ILP objective per row.
-
-    ``partitions`` needs columns pid, span_gb, accesses and optionally
-    latency_threshold (default inf), current_tier (default null = new data),
-    fixed_scheme (default null = free choice).
-    """
-    p = partitions
-    for col, default in [
-        ("latency_threshold", float("inf")),
-        ("current_tier", None),
-        ("fixed_scheme", None),
-    ]:
-        if col not in p.columns:
-            p = p.withColumn(
-                col,
-                F.lit(default).cast("double" if col == "latency_threshold" else "string"),
-            )
-    t = F.broadcast(tiers_df(spark, tiers))
-    s = with_none_scheme(spark, p, predictions)
-    # Read cost of the source tier, for Δ(u, v) = C^r_u + C^w_v.
-    src_read = F.create_map(
-        *itertools.chain.from_iterable(
-            (F.lit(k), F.lit(v)) for k, v in cm.READ_COST.items()
-        )
-    )
-    cand = (
-        p.crossJoin(t)
-        .join(s, "pid")
-        .withColumn("stored_gb", F.col("span_gb") / F.col("ratio"))
-        .withColumn("d_time", F.col("decomp_sec_per_gb") * F.col("span_gb"))
-        .withColumn(
-            "delta",
-            F.when(F.col("current_tier") == F.col("tier"), F.lit(0.0)).otherwise(
-                F.coalesce(src_read[F.col("current_tier")], F.lit(0.0))
-                + F.col("t_write")
-            ),
-        )
-        .withColumn("storage_cost", F.col("t_storage") * F.col("stored_gb") * F.lit(months))
-        .withColumn("transfer_cost", F.col("delta") * F.col("stored_gb"))
-        .withColumn("read_cost", F.col("accesses") * F.col("t_read") * F.col("stored_gb"))
-        .withColumn(
-            "decomp_cost", F.col("accesses") * F.lit(cm.COMPUTE_COST) * F.col("d_time")
-        )
-        .withColumn(
-            "weighted_cost",
-            F.lit(weights.alpha) * F.col("storage_cost")
-            + F.lit(weights.gamma) * F.col("transfer_cost")
-            + F.lit(weights.beta) * (F.col("read_cost") + F.col("decomp_cost")),
-        )
-        .withColumn("read_latency", F.col("t_ttfb"))
-        .withColumn("decomp_latency", F.col("d_time"))
-        # Constraint 3: D + B_l <= T(P).
-        .where(F.col("d_time") + F.col("t_ttfb") <= F.col("latency_threshold"))
-        # Last ILP equality: existing partitions keep their scheme.
-        .where(
-            F.col("fixed_scheme").isNull() | (F.col("scheme") == F.col("fixed_scheme"))
-        )
-    )
-    if enforce_archive_residency and months < cm.ARCHIVE_MIN_MONTHS:
-        cand = cand.where(F.col("tier") != "archive")
-    return cand
-
-
-def greedy_assign(
-    spark: SparkSession,
-    partitions: DataFrame,
-    predictions: DataFrame | None,
-    tiers: list[cm.Tier],
-    *,
-    months: float,
-    weights: cm.CostWeights = cm.CostWeights(),
-    enforce_archive_residency: bool = True,
-) -> DataFrame:
-    """Theorem-3 greedy as a Spark job: min-cost candidate per partition."""
-    cand = candidates(
-        spark,
-        partitions,
-        predictions,
-        tiers,
-        months=months,
-        weights=weights,
-        enforce_archive_residency=enforce_archive_residency,
-    )
-    w = Window.partitionBy("pid").orderBy(
-        F.col("weighted_cost").asc(), F.col("tier").asc(), F.col("scheme").asc()
-    )
-    return (
-        cand.withColumn("_rn", F.row_number().over(w))
-        .where(F.col("_rn") == 1)
-        .select(*ASSIGN_COLS)
-    )
-
-
-# --------------------------------------------------------------------------
-# Numpy fast path (same semantics; used by sweep-heavy experiment harnesses)
-# --------------------------------------------------------------------------
 def candidate_frame_numpy(
     partitions: pd.DataFrame,
     predictions: pd.DataFrame | None,
@@ -195,7 +41,15 @@ def candidate_frame_numpy(
     weights: cm.CostWeights = cm.CostWeights(),
     enforce_archive_residency: bool = True,
 ) -> pd.DataFrame:
-    """Pandas equivalent of :func:`candidates` (cross product + cost terms)."""
+    """The feasible candidate relation with the ILP objective per row.
+
+    ``partitions`` needs columns pid, span_gb, accesses and optionally
+    latency_threshold (default inf), current_tier (default None = new data)
+    and fixed_scheme (default None = free choice). ``predictions`` holds
+    (pid, scheme, ratio, decomp_sec_per_gb); the mandatory 'no compression'
+    option (§IV-A: R=1, D=0) is added for every partition, and
+    ``predictions=None`` means K=0 (tiering only).
+    """
     p = partitions.copy()
     if "latency_threshold" not in p:
         p["latency_threshold"] = np.inf
@@ -218,35 +72,63 @@ def candidate_frame_numpy(
             "t_read": [x.read_cost for x in tiers],
             "t_write": [x.write_cost for x in tiers],
             "t_ttfb": [x.ttfb for x in tiers],
-            "t_capacity": [x.capacity_gb for x in tiers],
         }
     )
     cand = p.merge(t, how="cross").merge(s, on="pid")
-    cand["stored_gb"] = cand["span_gb"] / cand["ratio"]
-    cand["d_time"] = cand["decomp_sec_per_gb"] * cand["span_gb"]
+    # Δ(u, v) = C^r_u + C^w_v, zero when the partition stays on its tier.
     src_read = cand["current_tier"].map(cm.READ_COST).fillna(0.0)
-    cand["delta"] = np.where(
-        cand["current_tier"] == cand["tier"], 0.0, src_read + cand["t_write"]
+    delta = np.where(cand["current_tier"] == cand["tier"], 0.0, src_read + cand["t_write"])
+    stored_gb, a = cm.cost_terms(
+        span_gb=cand["span_gb"],
+        accesses=cand["accesses"],
+        months=months,
+        storage_cost=cand["t_storage"],
+        read_cost=cand["t_read"],
+        ttfb=cand["t_ttfb"],
+        delta=delta,
+        ratio=cand["ratio"],
+        decomp_sec_per_gb=cand["decomp_sec_per_gb"],
     )
-    cand["storage_cost"] = cand["t_storage"] * cand["stored_gb"] * months
-    cand["transfer_cost"] = cand["delta"] * cand["stored_gb"]
-    cand["read_cost"] = cand["accesses"] * cand["t_read"] * cand["stored_gb"]
-    cand["decomp_cost"] = cand["accesses"] * cm.COMPUTE_COST * cand["d_time"]
-    cand["weighted_cost"] = (
-        weights.alpha * cand["storage_cost"]
-        + weights.gamma * cand["transfer_cost"]
-        + weights.beta * (cand["read_cost"] + cand["decomp_cost"])
-    )
-    cand["read_latency"] = cand["t_ttfb"]
-    cand["decomp_latency"] = cand["d_time"]
-    ok = cand["d_time"] + cand["t_ttfb"] <= cand["latency_threshold"]
+    cand["stored_gb"] = stored_gb
+    cand["storage_cost"] = a.storage
+    cand["transfer_cost"] = a.transfer
+    cand["read_cost"] = a.read
+    cand["decomp_cost"] = a.decompress
+    cand["weighted_cost"] = a.weighted(weights)
+    cand["read_latency"] = a.read_latency
+    cand["decomp_latency"] = a.decompress_latency
+    # Constraint 3: D + B_l <= T(P); existing partitions keep their scheme.
+    ok = cand["decomp_latency"] + cand["read_latency"] <= cand["latency_threshold"]
     ok &= cand["fixed_scheme"].isna() | (cand["scheme"] == cand["fixed_scheme"])
     if enforce_archive_residency and months < cm.ARCHIVE_MIN_MONTHS:
         ok &= cand["tier"] != "archive"
     return cand[ok].reset_index(drop=True)
 
 
-def greedy_assign_numpy(
+def assign_candidates(
+    cand: pd.DataFrame, pids, tiers: list[cm.Tier]
+) -> pd.DataFrame:
+    """The assignment core: the min-``weighted_cost`` candidate per partition.
+
+    Ties break on tier, then scheme. Raises if a partition in ``pids`` has
+    no feasible candidate. When a tier in ``tiers`` has a finite capacity,
+    the greedy choice goes through :func:`repair_capacity`.
+    """
+    chosen = (
+        cand.sort_values(["pid", "weighted_cost", "tier", "scheme"], kind="stable")
+        .groupby("pid", as_index=False)
+        .first()
+    )
+    missing = set(pids) - set(chosen["pid"])
+    if missing:
+        raise ValueError(f"partitions with no feasible option: {sorted(missing)[:5]}")
+    chosen = chosen[ASSIGN_COLS]
+    if any(np.isfinite(t.capacity_gb) for t in tiers):
+        return repair_capacity(chosen, cand, tiers)
+    return chosen.reset_index(drop=True)
+
+
+def assign(
     partitions: pd.DataFrame,
     predictions: pd.DataFrame | None,
     tiers: list[cm.Tier],
@@ -255,7 +137,8 @@ def greedy_assign_numpy(
     weights: cm.CostWeights = cm.CostWeights(),
     enforce_archive_residency: bool = True,
 ) -> pd.DataFrame:
-    """Pandas twin of :func:`greedy_assign`; identical tie-breaking."""
+    """OPTASSIGN: greedy per partition plus capacity repair (see the module
+    docstring); arguments as for :func:`candidate_frame_numpy`."""
     cand = candidate_frame_numpy(
         partitions,
         predictions,
@@ -264,14 +147,7 @@ def greedy_assign_numpy(
         weights=weights,
         enforce_archive_residency=enforce_archive_residency,
     )
-    if cand.empty:
-        raise ValueError("no feasible candidate for any partition")
-    cand = cand.sort_values(["pid", "weighted_cost", "tier", "scheme"], kind="stable")
-    chosen = cand.groupby("pid", as_index=False).first()
-    missing = set(partitions["pid"]) - set(chosen["pid"])
-    if missing:
-        raise ValueError(f"partitions with no feasible option: {sorted(missing)[:5]}")
-    return chosen[ASSIGN_COLS].reset_index(drop=True)
+    return assign_candidates(cand, partitions["pid"], tiers)
 
 
 def repair_capacity(
@@ -323,32 +199,3 @@ def repair_capacity(
         pid, alt = best_move
         chosen.loc[pid, ASSIGN_COLS[1:]] = alt[ASSIGN_COLS[1:]].values
     raise RuntimeError("capacity repair did not converge")  # pragma: no cover
-
-
-def assign_with_capacity(
-    partitions: pd.DataFrame,
-    predictions: pd.DataFrame | None,
-    tiers: list[cm.Tier],
-    *,
-    months: float,
-    weights: cm.CostWeights = cm.CostWeights(),
-    enforce_archive_residency: bool = True,
-) -> pd.DataFrame:
-    """Greedy + capacity repair (pandas; used by the pipeline's capacity rows)."""
-    cand = candidate_frame_numpy(
-        partitions,
-        predictions,
-        tiers,
-        months=months,
-        weights=weights,
-        enforce_archive_residency=enforce_archive_residency,
-    )
-    chosen = greedy_assign_numpy(
-        partitions,
-        predictions,
-        tiers,
-        months=months,
-        weights=weights,
-        enforce_archive_residency=enforce_archive_residency,
-    )
-    return repair_capacity(chosen, cand, tiers)

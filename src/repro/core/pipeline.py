@@ -28,18 +28,14 @@ access — the paper's columns, computed from the same Table-XII parameters.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pandas as pd
 
 from repro.core import cost_model as cm
 from repro.core.gpart import gpart
-from repro.core.optassign import (
-    candidate_frame_numpy,
-    greedy_assign_numpy,
-    repair_capacity,
-)
+from repro.core.optassign import assign_candidates, candidate_frame_numpy
 from repro.storage import codecs
 from repro.workload.queries import Query, TableFiles, workload_fileparts
 
@@ -272,34 +268,13 @@ def run_policy(
         # The paper's model keeps the last (coolest) layer unbounded
         # (S_{L-1} = inf, §IV-A); with Archive excluded at 5.5 months that
         # role falls to the coolest tier in play.
-        last = tiers[-1]
-        tiers[-1] = cm.Tier(
-            last.name, last.storage_cost, last.read_cost, last.write_cost,
-            last.ttfb, float("inf"),
-        )
+        tiers[-1] = replace(tiers[-1], capacity_gb=float("inf"))
     cand = candidate_frame_numpy(
         pframe, predictions, tiers, months=months, weights=weights
     )
     if latency_focused:
-        cand_obj = _latency_objective(cand)
-    else:
-        cand_obj = cand
-    cand_sorted = cand_obj.sort_values(
-        ["pid", "weighted_cost", "tier", "scheme"], kind="stable"
-    )
-    chosen = cand_sorted.groupby("pid", as_index=False).first()
-    missing = set(pframe["pid"]) - set(chosen["pid"])
-    if missing:
-        raise ValueError(f"infeasible partitions: {sorted(missing)[:5]}")
-    if capacity_total_gb is not None:
-        chosen = repair_capacity(
-            chosen[[c for c in chosen.columns if c in set(
-                ["pid", "tier", "scheme", "stored_gb", "storage_cost",
-                 "transfer_cost", "read_cost", "decomp_cost", "weighted_cost",
-                 "read_latency", "decomp_latency"])]],
-            cand_obj,
-            tiers,
-        )
+        cand = _latency_objective(cand)
+    chosen = assign_candidates(cand, pframe["pid"], tiers)
     cols = ["pid", "tier", "scheme", "stored_gb", "storage_cost", "transfer_cost",
             "read_cost", "decomp_cost", "read_latency", "decomp_latency"]
     a = chosen[cols].merge(pframe, on="pid")

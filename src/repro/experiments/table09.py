@@ -7,9 +7,16 @@ from __future__ import annotations
 
 import pandas as pd
 
+from repro import synth_data as sd
 from repro.core.pipeline import scope_policy_table
 from repro.experiments import common
 from repro.workload import queries as wq
+
+#: G-PART span cap (fraction of the total volume) and codec-sample rows per
+#: partition that Table IX plans with; ``jobs/scope_pipeline.py`` rebuilds
+#: the same partitions to place them.
+S_THRESH_FRAC = 0.1
+MAX_ROWS = 8000
 
 #: Paper Table IX (policy -> storage, decomp, read, total, TTFB s,
 #: decomp-latency ms, tiering [P, H, C]).
@@ -32,6 +39,18 @@ PAPER = pd.DataFrame(
 )
 
 
+def inputs(
+    *, sf: float = 0.01, n_queries: int = 1200, n_files: int = 24, seed: int = 0
+) -> tuple[dict[str, wq.TableFiles], list[wq.Query]]:
+    """Table IX's three tables and its Zipf query log."""
+    tables = common.enterprise_table_files(sf=sf, n_files=n_files, seed=seed)
+    queries = wq.gen_zipf_workload(
+        tables, n_queries=n_queries, alpha=1.5, seed=seed,
+        sort_cols=sd.ENTERPRISE_SORT_COL,
+    )
+    return tables, queries
+
+
 def run(
     *,
     sf: float = 0.01,
@@ -39,16 +58,10 @@ def run(
     n_files: int = 24,
     months: float = 5.5,
     seed: int = 0,
-    max_rows: int = 8000,
+    max_rows: int = MAX_ROWS,
     query_repeat: float = 6.0,
-    s_thresh_frac: float = 0.1,
+    s_thresh_frac: float = S_THRESH_FRAC,
 ) -> tuple[pd.DataFrame, dict]:
-    tables = common.enterprise_table_files(sf=sf, n_files=n_files, seed=seed)
-    from repro import synth_data as sd
-
-    queries = wq.gen_zipf_workload(
-        tables, n_queries=n_queries, alpha=1.5, seed=seed,
-        sort_cols=sd.ENTERPRISE_SORT_COL,
-    )
+    tables, queries = inputs(sf=sf, n_queries=n_queries, n_files=n_files, seed=seed)
     return scope_policy_table(tables, queries, months=months, max_rows=max_rows,
         query_repeat=query_repeat, s_thresh_frac=s_thresh_frac)

@@ -22,7 +22,7 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
 from repro.core import cost_model as cm
-from repro.core.optassign import greedy_assign_numpy
+from repro.core.optassign import assign
 
 PATTERNS = ("inactive", "decay", "constant", "periodic", "spike")
 #: Mixture over pattern families — most datasets see few or zero accesses
@@ -166,7 +166,7 @@ def ideal_tiers(
         }
     )
     tiers = [t for t in cm.make_tiers() if t.name in tier_names]
-    return greedy_assign_numpy(parts, None, tiers, months=horizon)
+    return assign(parts, None, tiers, months=horizon)
 
 
 def policy_cost(
@@ -183,16 +183,17 @@ def policy_cost(
     OPTASSIGN (on predictions) and the rule baselines."""
     fr = future_reads(logs, t0, horizon)
     exists = meta[meta["created_month"] <= t0]
-    total = 0.0
-    for r in exists.itertuples(index=False):
-        tier = tier_of.get(r.dataset_id, current_tier)
-        reads = float(fr.get(r.dataset_id, 0.0))
-        total += (
-            cm.STORAGE_COST[tier] * r.size_gb * horizon
-            + cm.READ_COST[tier] * r.size_gb * reads
-            + cm.tier_change_cost(current_tier, tier) * r.size_gb
-        )
-    return total
+    tier = exists["dataset_id"].map(tier_of).fillna(current_tier)
+    _, cost = cm.cost_terms(
+        span_gb=exists["size_gb"],
+        accesses=exists["dataset_id"].map(fr).fillna(0.0),
+        months=horizon,
+        storage_cost=tier.map(cm.STORAGE_COST),
+        read_cost=tier.map(cm.READ_COST),
+        ttfb=tier.map(cm.TTFB),
+        delta=tier.map(lambda t: cm.tier_change_cost(current_tier, t)),
+    )
+    return float(cost.total.sum())
 
 
 def baseline_all_hot(meta: pd.DataFrame) -> pd.Series:

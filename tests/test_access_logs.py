@@ -168,6 +168,29 @@ class TestPoliciesAndCosts:
         )
         assert cost == pytest.approx(expected)
 
+    def test_policy_cost_sums_assignment_costs(self, sim):
+        """policy_cost is the sum of the scalar cost formula's totals."""
+        meta, logs = sim
+        t0, hz = 16, 6
+        tier_of = al.baseline_recency(meta, logs, t0=t0, lookback=1)
+        tier_of[tier_of.index[::7]] = "archive"
+        fr = al.future_reads(logs, t0, hz)
+        tiers = {t.name: t for t in cm.make_tiers()}
+        want = sum(
+            cm.assignment_cost(
+                span_gb=r.size_gb,
+                accesses=float(fr.get(r.dataset_id, 0.0)),
+                months=hz,
+                tier=tiers[tier_of[r.dataset_id]],
+                current_tier="hot",
+            ).total
+            for r in meta[meta["created_month"] <= t0].itertuples(index=False)
+        )
+        assert {"hot", "cool", "archive"} <= set(tier_of)
+        assert al.policy_cost(meta, logs, tier_of, t0=t0, horizon=hz) == (
+            pytest.approx(want, rel=1e-12)
+        )
+
     def test_recency_baseline(self, sim):
         meta, logs = sim
         tiers = al.baseline_recency(meta, logs, t0=12, lookback=2)

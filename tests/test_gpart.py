@@ -1,17 +1,9 @@
-"""G-PART (Algorithm 1): merging behaviour, constraints, Fig-7 trade-off,
-and the distributed overlap-graph builder."""
+"""G-PART (Algorithm 1): merging behaviour, constraints and the Fig-7
+trade-off."""
 import numpy as np
-import pandas as pd
 import pytest
 
-from repro.core.gpart import (
-    duplication,
-    gpart,
-    merge_all,
-    overlap_edges_python,
-    overlap_edges_spark,
-    read_cost,
-)
+from repro.core.gpart import duplication, gpart, merge_all, read_cost
 from repro.core.ilp import FilePart, solve_merge_partitions_exact
 
 FS = {f"f{i}": 1.0 for i in range(12)}
@@ -129,39 +121,3 @@ class TestFig7Tradeoff:
             parts, FS, c_thresh=got_cost + 1e-9, rho_c=10.0, rho_abs=10.0
         )
         assert got_space <= 2 * exact_space + 1e-9
-
-
-class TestOverlapEdges:
-    def _instance(self):
-        g = np.random.default_rng(2)
-        return [
-            FilePart(f"p{i}", frozenset(f"f{j}" for j in g.choice(12, 5, replace=False)), 1.0)
-            for i in range(6)
-        ]
-
-    def test_python_edges_symmetric_ordering(self):
-        parts = self._instance()
-        edges = overlap_edges_python(parts, FS)
-        assert (edges["pid_a"] < edges["pid_b"]).all()
-        assert (edges["overlap_gb"] > 0).all()
-
-    def test_spark_matches_python(self, spark):
-        parts = self._instance()
-        pf = spark.createDataFrame(
-            pd.DataFrame(
-                [(p.pid, f) for p in parts for f in sorted(p.files)],
-                columns=["pid", "file"],
-            )
-        )
-        sz = spark.createDataFrame(
-            pd.DataFrame(list(FS.items()), columns=["file", "size_gb"])
-        )
-        got = (
-            overlap_edges_spark(spark, pf, sz)
-            .toPandas()
-            .sort_values(["pid_a", "pid_b"], ignore_index=True)
-        )
-        want = overlap_edges_python(parts, FS).sort_values(
-            ["pid_a", "pid_b"], ignore_index=True
-        )
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)

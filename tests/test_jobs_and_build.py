@@ -1,5 +1,6 @@
-"""Smoke coverage for the spark-submit entrypoints and the offline build
-backend (neither runs a full job — benches cover the heavy paths)."""
+"""Smoke coverage for the job entrypoints and the offline build backend
+(neither runs a full job — benches cover the heavy paths)."""
+import importlib
 import importlib.util
 import pathlib
 import sys
@@ -9,6 +10,11 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 JOB_FILES = sorted(p for p in (ROOT / "jobs").glob("*.py") if p.name != "_common.py")
+TABLES = [f"{n:02d}" for n in range(2, 12)]
+#: Every entry command: each job file, and ``run_table.py NN`` as tableNN.
+COMMANDS = {p.stem: p for p in JOB_FILES if p.stem != "run_table"} | {
+    f"table{nn}": ROOT / "jobs" / "run_table.py" for nn in TABLES
+}
 
 
 def _load(path: pathlib.Path):
@@ -19,16 +25,26 @@ def _load(path: pathlib.Path):
 
 
 class TestJobs:
-    def test_one_job_per_table(self):
-        names = {p.stem for p in JOB_FILES}
-        for n in range(2, 12):
-            assert f"table{n:02d}" in names, f"missing job for Table {n}"
-        for extra in ("optassign_job", "gpart_job", "compredict_job", "scope_pipeline"):
-            assert extra in names
+    def test_one_job_per_table(self, monkeypatch):
+        """``run_table.py NN`` calls ``repro.experiments.tableNN.run`` (stubbed
+        here, so no table is computed) for every table of the paper."""
+        import pandas as pd
 
-    @pytest.mark.parametrize("path", JOB_FILES, ids=lambda p: p.stem)
-    def test_job_importable_with_main(self, path):
-        mod = _load(path)
+        job = _load(ROOT / "jobs" / "run_table.py")
+        called = []
+        for nn in TABLES:
+            table = importlib.import_module(f"repro.experiments.table{nn}")
+            monkeypatch.setattr(
+                table, "run", lambda nn=nn: called.append(nn) or pd.DataFrame()
+            )
+            job.main([nn])
+        assert called == TABLES
+        for extra in ("optassign_job", "gpart_job", "compredict_job", "scope_pipeline"):
+            assert extra in COMMANDS
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_job_importable_with_main(self, name):
+        mod = _load(COMMANDS[name])
         assert callable(mod.main)
 
     def test_common_show_formats(self, capsys):

@@ -1,4 +1,5 @@
-"""OPTASSIGN: Spark job vs numpy twin vs exact ILP (Theorem 3), capacity repair."""
+"""OPTASSIGN: greedy vs exact ILP (Theorem 3), candidate rows vs the scalar
+cost formula, capacity repair."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -69,7 +70,7 @@ class TestGreedyVsExact:
         parts = _parts(6, seed=seed, with_extras=True)
         preds = _preds(parts["pid"], seed=seed)
         tiers = cm.make_tiers()
-        got = oa.greedy_assign_numpy(parts, preds, tiers, months=3.0)
+        got = oa.assign(parts, preds, tiers, months=3.0)
         specs, pred_map = _to_specs(parts, preds)
         _, exact_cost = solve_optassign_exact(specs, tiers, pred_map, months=3.0)
         assert got["weighted_cost"].sum() == pytest.approx(exact_cost, rel=1e-9)
@@ -80,7 +81,7 @@ class TestGreedyVsExact:
         parts = _parts(5, seed=seed)
         preds = _preds(parts["pid"], seed=seed)
         tiers = cm.make_tiers()
-        got = oa.greedy_assign_numpy(parts, preds, tiers, months=months)
+        got = oa.assign(parts, preds, tiers, months=months)
         specs, pred_map = _to_specs(parts, preds)
         _, exact_cost = solve_optassign_exact(specs, tiers, pred_map, months=months)
         assert got["weighted_cost"].sum() == pytest.approx(exact_cost, rel=1e-9)
@@ -135,42 +136,47 @@ class TestCandidates:
              "latency_threshold": [0.0001]}
         )
         with pytest.raises(ValueError):
-            oa.greedy_assign_numpy(parts, None, cm.make_tiers(), months=1.0)
+            oa.assign(parts, None, cm.make_tiers(), months=1.0)
 
-
-class TestSparkJob:
-    """The DataFrame implementation agrees with the numpy twin row-for-row."""
-
-    @pytest.mark.parametrize("seed", [0, 1])
-    def test_spark_matches_numpy(self, spark, seed):
-        parts = _parts(12, seed=seed)
-        preds = _preds(parts["pid"], seed=seed)
-        tiers = cm.make_tiers()
-        want = oa.greedy_assign_numpy(parts, preds, tiers, months=4.0)
-        got = (
-            oa.greedy_assign(
-                spark,
-                spark.createDataFrame(parts),
-                spark.createDataFrame(preds),
-                tiers,
-                months=4.0,
-            )
-            .toPandas()
-            .sort_values("pid", ignore_index=True)
-        )
-        want = want.sort_values("pid", ignore_index=True)
-        assert got["tier"].tolist() == want["tier"].tolist()
-        assert got["scheme"].tolist() == want["scheme"].tolist()
-        np.testing.assert_allclose(got["weighted_cost"], want["weighted_cost"])
-
-    def test_spark_k0_tiering_only(self, spark):
+    def test_k0_tiering_only(self):
         parts = _parts(5, seed=3)
-        tiers = cm.make_tiers(("hot", "cool"))
-        got = oa.greedy_assign(
-            spark, spark.createDataFrame(parts), None, tiers, months=2.0
-        ).toPandas()
+        got = oa.assign(parts, None, cm.make_tiers(("hot", "cool")), months=2.0)
         assert set(got["scheme"]) == {"none"}
         assert len(got) == 5
+
+
+class TestCostFormula:
+    """Every candidate row carries exactly the scalar ``cm.assignment_cost``."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_candidate_rows_equal_assignment_cost(self, seed):
+        parts = _parts(8, seed=seed, with_extras=True)
+        preds = _preds(parts["pid"], seed=seed)
+        tiers = cm.make_tiers()
+        weights = cm.CostWeights(alpha=0.5, beta=2.0, gamma=3.0)
+        cand = oa.candidate_frame_numpy(
+            parts, preds, tiers, months=7.0, weights=weights
+        )
+        assert set(cand["current_tier"].dropna()) == {"hot"}
+        by_name = {t.name: t for t in tiers}
+        for r in cand.itertuples(index=False):
+            a = cm.assignment_cost(
+                span_gb=r.span_gb,
+                accesses=r.accesses,
+                months=7.0,
+                tier=by_name[r.tier],
+                ratio=r.ratio,
+                decomp_sec_per_gb=r.decomp_sec_per_gb,
+                current_tier=r.current_tier,
+            )
+            assert r.stored_gb == r.span_gb / r.ratio
+            assert (
+                r.storage_cost, r.read_cost, r.decomp_cost, r.transfer_cost,
+                r.read_latency, r.decomp_latency, r.weighted_cost,
+            ) == (
+                a.storage, a.read, a.decompress, a.transfer,
+                a.read_latency, a.decompress_latency, a.weighted(weights),
+            )
 
 
 class TestCapacityRepair:
@@ -187,17 +193,24 @@ class TestCapacityRepair:
             cm.Tier("hot", 2.08, 0.01331, 0.02662, 0.0614, capacity_gb=30.0),
             cm.Tier("cool", 1.52, 0.0333, 0.0666, 0.0614, capacity_gb=float("inf")),
         ]
-        got = oa.assign_with_capacity(parts, None, tiers, months=1.0)
+        got = oa.assign(parts, None, tiers, months=1.0)
         usage = got.groupby("tier")["stored_gb"].sum()
         assert usage.get("premium", 0.0) <= 20.0 + 1e-9
         assert usage.get("hot", 0.0) <= 30.0 + 1e-9
         assert len(got) == 6
 
-    def test_noop_when_capacity_loose(self):
+    def test_noop_when_capacity_loose(self, monkeypatch):
+        """Repair runs only under finite capacities, and loose ones move nothing."""
+        calls = []
+        repair = oa.repair_capacity
+        monkeypatch.setattr(
+            oa, "repair_capacity", lambda *a: calls.append(1) or repair(*a)
+        )
         parts = _parts(6, seed=5)
-        tiers = cm.make_tiers()
-        free = oa.greedy_assign_numpy(parts, None, tiers, months=2.0)
-        capped = oa.assign_with_capacity(parts, None, tiers, months=2.0)
+        free = oa.assign(parts, None, cm.make_tiers(), months=2.0)
+        assert calls == []
+        capped = oa.assign(parts, None, cm.make_tiers(total_gb=1e6), months=2.0)
+        assert calls == [1]
         pd.testing.assert_frame_equal(
             free.sort_values("pid", ignore_index=True),
             capped.sort_values("pid", ignore_index=True),
@@ -216,7 +229,7 @@ class TestCapacityRepair:
             cm.Tier("premium", 15.0, 0.004659, 0.009318, 0.0053, capacity_gb=10.0),
             cm.Tier("cool", 1.52, 0.0333, 0.0666, 0.0614, capacity_gb=float("inf")),
         ]
-        got = oa.assign_with_capacity(parts, None, tiers, months=1.0)
+        got = oa.assign(parts, None, tiers, months=1.0)
         specs, _ = _to_specs(parts, None)
         exact, exact_cost = solve_optassign_exact(specs, tiers, {}, months=1.0)
         assert got["weighted_cost"].sum() == pytest.approx(exact_cost, rel=1e-9)
@@ -225,4 +238,4 @@ class TestCapacityRepair:
         parts = pd.DataFrame({"pid": ["p"], "span_gb": [100.0], "accesses": [0.0]})
         tiers = [cm.Tier("hot", 2.08, 0.013, 0.026, 0.06, capacity_gb=1.0)]
         with pytest.raises(ValueError):
-            oa.assign_with_capacity(parts, None, tiers, months=1.0)
+            oa.assign(parts, None, tiers, months=1.0)
