@@ -6,6 +6,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # spark-submit friendliness
 
 from _common import get_spark
+from repro import spark_ops
 from repro import synth_data as sd
 from repro.core import compredict as cp
 from repro.experiments import common, table06
@@ -17,7 +18,7 @@ def main(sf: float = 0.01, seed: int = 0) -> None:
     # Distributed feature extraction per table (the production path).
     for name, gen in sd.TPCH_PDF.items():
         sdf = spark.createDataFrame(gen(sf=sf, seed=seed))
-        feats = cp.weighted_entropy_spark(sdf)
+        feats = spark_ops.weighted_entropy(sdf)
         print(name, {k: round(v, 2) for k, v in feats.items()})
     # Model quality on query samples (pandas path; same features).
     ds = table06.build_dataset(sf=sf, n_per_template=6, max_rows=2000, seed=seed)

@@ -7,7 +7,7 @@
 - :mod:`repro.core.matching` — Hungarian matching for the equal-size special case.
 - :mod:`repro.core.ilp` — exact branch-and-bound ILPs (test oracles).
 - :mod:`repro.core.gpart` — G-PART greedy partition merging.
-- :mod:`repro.core.datapart` — initial partitions, ordered-partition DP, FPTAS.
+- :mod:`repro.core.datapart` — ordered-partition DP and its FPTAS.
 - :mod:`repro.core.compredict` — compression-performance predictor.
 - :mod:`repro.core.pipeline` — the unified SCOPe pipeline and policy variants.
 """

@@ -3,9 +3,9 @@
 Feature: per-datatype **weighted entropy**
 ``H(P, d) = -Σ_s len(s) · pr(s) · log pr(s)`` over the string renderings of
 all values in columns of datatype class ``d`` (int / float / object /
-datetime), capturing how much repetition a codec can exploit. Computed two
-ways — a Spark aggregation for large partitions and a vectorised pandas
-path for query-result samples — tested for equality.
+datetime), capturing how much repetition a codec can exploit. Computed here
+by a vectorised pandas path for query-result samples; the Spark aggregation
+for whole tables is :func:`repro.spark_ops.weighted_entropy`, tested equal.
 
 Training data: **query-result samples** (the paper's key finding is that
 random row samples misrepresent what is actually read) labelled with ground
@@ -19,9 +19,6 @@ from typing import Callable, Iterable
 import numpy as np
 import pandas as pd
 from pandas.api import types as ptypes
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
 
 from repro.ml import (
     GradientBoostedTreesRegressor,
@@ -66,7 +63,7 @@ def weighted_entropy_pandas(pdf: pd.DataFrame) -> dict[str, float]:
     for col in pdf.columns:
         cls = dtype_class(pdf[col].dtype)
         if cls == "datetime":
-            # Match the Spark path's 'yyyy-MM-dd HH:mm:ss' rendering.
+            # Match spark_ops.weighted_entropy's 'yyyy-MM-dd HH:mm:ss' rendering.
             rendered = pdf[col].dt.strftime("%Y-%m-%d %H:%M:%S")
         else:
             rendered = pdf[col].astype(str)
@@ -76,67 +73,6 @@ def weighted_entropy_pandas(pdf: pd.DataFrame) -> dict[str, float]:
         vc = pooled.value_counts()
         feats[f"H_{d}"] = _entropy_of_counts(vc.index.to_series(), vc.to_numpy())
     return feats
-
-
-_SPARK_CLASS = {
-    T.IntegerType: "int",
-    T.LongType: "int",
-    T.ShortType: "int",
-    T.ByteType: "int",
-    T.BooleanType: "int",
-    T.FloatType: "float",
-    T.DoubleType: "float",
-    T.TimestampType: "datetime",
-    T.DateType: "datetime",
-}
-
-
-def weighted_entropy_spark(df: DataFrame) -> dict[str, float]:
-    """Distributed H(P, d): per class, stack columns (cast to string), count
-    values, and aggregate ``-Σ len·pr·log pr`` with Catalyst expressions.
-
-    Datetime columns are rendered via pandas-compatible str() casts so the
-    two paths agree byte-for-byte (tested).
-    """
-    feats = {f: 0.0 for f in ENTROPY_FEATURES}
-    by_class: dict[str, list[str]] = {}
-    for f_ in df.schema.fields:
-        cls = _SPARK_CLASS.get(type(f_.dataType), "object")
-        if isinstance(f_.dataType, T.DecimalType):
-            cls = "float"
-        by_class.setdefault(cls, []).append(f_.name)
-    for d, cols in by_class.items():
-        stacked = None
-        for c in cols:
-            if d == "datetime":
-                # pandas str() of datetime64 gives 'YYYY-MM-DD HH:MM:SS'.
-                col = F.date_format(F.col(c), "yyyy-MM-dd HH:mm:ss")
-            elif d == "float":
-                # pandas str() of float: repr with trailing .0 etc. Cast via
-                # double -> string matches for round values produced here.
-                col = F.col(c).cast("string")
-            else:
-                col = F.col(c).cast("string")
-            part = df.select(col.alias("v"))
-            stacked = part if stacked is None else stacked.unionByName(part)
-        counts = stacked.groupBy("v").agg(F.count("*").alias("c"))
-        row = (
-            counts.withColumn("total", F.sum("c").over(Window_all()))
-            .withColumn("pr", F.col("c") / F.col("total"))
-            .agg(
-                (-F.sum(F.length("v") * F.col("pr") * F.log(F.col("pr")))).alias("H")
-            )
-            .collect()[0]
-        )
-        feats[f"H_{d}"] = float(row["H"] or 0.0)
-    return feats
-
-
-def Window_all():
-    """An unpartitioned window (single total) — tiny result sets only."""
-    from pyspark.sql.window import Window
-
-    return Window.partitionBy(F.lit(1))
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +114,7 @@ def featurize_sample(
         features=feats,
         size_mb=len(raw) / 2**20,
         n_rows=len(pdf),
-        truth={s: codecs.measure(pdf, s, repeats=repeats) for s in schemes},
+        truth=codecs.measure_all(pdf, tuple(schemes), repeats=repeats),
     )
 
 

@@ -1,11 +1,10 @@
-"""DATAPART (§VI): initial partitions from query logs, and the ordered
-(time-series) special case — pseudo-polynomial DP (Theorem 5) plus the
-ε-bucketed polynomial approximation scheme (Theorem 6).
+"""DATAPART (§VI): the ordered (time-series) special case — pseudo-polynomial
+DP (Theorem 5) plus the ε-bucketed polynomial approximation scheme
+(Theorem 6).
 
-Initial partitions: a *query family* is the set of queries touching exactly
-the same file set; its access frequency ρ is the family's query count. Built
-either distributively from a (query_id, file) log DataFrame or from an
-in-memory log.
+DATAPART's general case starts from query families (the initial partitions),
+built by :func:`repro.workload.queries.workload_fileparts` and merged by
+:mod:`repro.core.gpart`.
 """
 from __future__ import annotations
 
@@ -14,49 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
-
-from repro.core.ilp import FilePart
-
-
-# --------------------------------------------------------------------------
-# Initial partitions (query families)
-# --------------------------------------------------------------------------
-def initial_partitions_spark(query_files: DataFrame) -> pd.DataFrame:
-    """Group a (query_id, file) access log into query families.
-
-    Returns a pandas frame (files: sorted tuple, rho: #queries in family) —
-    family counts are small (≤ #distinct file-sets), so collecting is fine.
-    """
-    per_query = query_files.groupBy("query_id").agg(
-        F.sort_array(F.collect_set("file")).alias("files")
-    )
-    fams = per_query.groupBy("files").agg(F.count("*").alias("rho"))
-    pdf = fams.toPandas()
-    pdf["files"] = pdf["files"].apply(tuple)
-    return pdf.sort_values("files", ignore_index=True)
-
-
-def initial_partitions_python(log: list[tuple[str, frozenset[str]]]) -> pd.DataFrame:
-    """Driver-side twin of :func:`initial_partitions_spark`."""
-    fams: dict[tuple, int] = {}
-    for _, files in log:
-        key = tuple(sorted(files))
-        fams[key] = fams.get(key, 0) + 1
-    pdf = pd.DataFrame(
-        {"files": list(fams.keys()), "rho": list(fams.values())}
-    )
-    return pdf.sort_values("files", ignore_index=True)
-
-
-def to_fileparts(families: pd.DataFrame) -> list[FilePart]:
-    """Convert a family frame into G-PART/ILP inputs."""
-    return [
-        FilePart(pid=f"q{i}", files=frozenset(row.files), rho=float(row.rho))
-        for i, row in enumerate(families.itertuples(index=False))
-    ]
 
 
 # --------------------------------------------------------------------------

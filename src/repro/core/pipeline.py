@@ -167,8 +167,6 @@ def gpart_partitions(
 def measure_partitions(
     partitions: list[PipelinePartition],
     schemes: tuple[str, ...] = PIPELINE_SCHEMES,
-    *,
-    repeats: int = 1,
 ) -> pd.DataFrame:
     """Ground-truth (pid, scheme, ratio, decomp_sec_per_gb) — footnote 9 of
     the paper generates the Tables IX–XI comparison with ground truth."""
@@ -177,7 +175,7 @@ def measure_partitions(
         if len(p.sample) == 0:
             continue
         for s in schemes:
-            m = codecs.measure(p.sample, s, repeats=repeats)
+            m = codecs.measure(p.sample, s, repeats=1)
             rows.append(
                 {
                     "pid": p.pid,
@@ -307,12 +305,8 @@ def scope_policy_table(
     queries: list[Query],
     *,
     months: float = 5.5,
-    schemes: tuple[str, ...] = PIPELINE_SCHEMES,
     s_thresh_frac: float = 0.6,
-    rho_c: float = 3.0,
-    rho_abs: float = 50.0,
     max_rows: int = 20_000,
-    repeats: int = 1,
     query_repeat: float = 1.0,
 ) -> tuple[pd.DataFrame, dict[str, PolicyResult]]:
     """Produce all 11 rows of a Table IX/X/XI instance.
@@ -321,21 +315,18 @@ def scope_policy_table(
     5.5-month horizon is below its minimum residency (§VII).
     ``query_repeat`` is the projected number of executions of each logged
     query over the billing horizon (the paper's read-cost magnitudes imply
-    each query family recurs many times over 5.5 months).
+    each query family recurs many times over 5.5 months). G-PART runs with
+    ``gpart_partitions``' default ρ thresholds, and every partition is
+    measured once in each of ``PIPELINE_SCHEMES``.
     """
     whole = unpartitioned(tables, queries, max_rows=max_rows)
     parted = gpart_partitions(
-        tables,
-        queries,
-        s_thresh_frac=s_thresh_frac,
-        rho_c=rho_c,
-        rho_abs=rho_abs,
-        max_rows=max_rows,
+        tables, queries, s_thresh_frac=s_thresh_frac, max_rows=max_rows
     )
     for p in (*whole, *parted):
         p.rho *= query_repeat
-    preds_whole = measure_partitions(whole, schemes, repeats=repeats)
-    preds_parted = measure_partitions(parted, schemes, repeats=repeats)
+    preds_whole = measure_partitions(whole)
+    preds_parted = measure_partitions(parted)
     total_gb = sum(tf.size_gb for tf in tables.values())
     P3 = ("premium", "hot", "cool")
     results: dict[str, PolicyResult] = {}

@@ -164,7 +164,7 @@ class TieredStore:
         return use
 
     def dump_catalog(self, path: str | Path) -> None:
-        """Persist the catalog (for spark-submit jobs inspecting results)."""
+        """Persist the catalog as JSON (for jobs inspecting results)."""
         Path(path).write_text(
             json.dumps({k: vars(m) for k, m in self.catalog.items()}, indent=2)
         )

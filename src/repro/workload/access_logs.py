@@ -7,10 +7,10 @@ ingest-activation spikes, with most datasets nearly inactive. The generator
 reproduces exactly these families with a Zipf popularity scale, which is
 all the tiering experiments depend on (DESIGN.md substitution #6).
 
-Also provides the access-predictor machinery of §IV-C: feature extraction
-(size, age, last-W-months reads/writes), ideal-tier labelling via OPTASSIGN
-with known future accesses, the intuitive baselines of Table IV, and a
-Spark monthly-aggregation job for event-level logs (oracle-checked).
+The generator emits monthly read/write counts per dataset directly. Also
+provides the access-predictor machinery of §IV-C: feature extraction (size,
+age, last-W-months reads/writes), ideal-tier labelling via OPTASSIGN with
+known future accesses, and the intuitive baselines of Table IV.
 """
 from __future__ import annotations
 
@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import cost_model as cm
 from repro.core.optassign import assign
@@ -89,23 +87,6 @@ def gen_enterprise_logs(
                 {"dataset_id": r.dataset_id, "month": m, "reads": reads, "writes": writes}
             )
     return meta, pd.DataFrame(rows)
-
-
-# --------------------------------------------------------------------------
-# Spark aggregation of event-level logs (the production path; oracle-tested)
-# --------------------------------------------------------------------------
-def monthly_counts_spark(events: DataFrame) -> DataFrame:
-    """Aggregate an event-level log (dataset_id, ts, op∈{read,write}) into
-    monthly read/write counts — the DataFrame job that would front the
-    generator's output in production."""
-    return (
-        events.withColumn("month", F.date_format("ts", "yyyy-MM"))
-        .groupBy("dataset_id", "month")
-        .agg(
-            F.sum(F.when(F.col("op") == "read", 1).otherwise(0)).alias("reads"),
-            F.sum(F.when(F.col("op") == "write", 1).otherwise(0)).alias("writes"),
-        )
-    )
 
 
 # --------------------------------------------------------------------------

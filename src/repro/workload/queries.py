@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.ilp import FilePart
 
@@ -304,14 +303,8 @@ def gen_zipf_workload(
     return out
 
 
-def run_query_spark(spark: SparkSession, sdf: DataFrame, q: Query) -> DataFrame:
-    """Execute a query on Spark (the result is a COMPREDICT sample)."""
-    sdf.createOrReplaceTempView(f"_q_{q.table}")
-    return spark.sql(q.sql(relation=f"_q_{q.table}"))
-
-
 def run_query_pandas(pdf: pd.DataFrame, q: Query) -> pd.DataFrame:
-    """DuckDB-equivalent local execution (used for sample materialisation)."""
+    """Run ``q`` on ``pdf`` in DuckDB (used for sample materialisation)."""
     import duckdb
 
     con = duckdb.connect()
@@ -320,11 +313,6 @@ def run_query_pandas(pdf: pd.DataFrame, q: Query) -> pd.DataFrame:
         return con.execute(q.sql()).fetchdf()
     finally:
         con.close()
-
-
-def query_log(queries: list[Query]) -> list[tuple[str, frozenset[str]]]:
-    """The (query_id, files) access log DATAPART consumes."""
-    return [(q.query_id, q.files) for q in queries]
 
 
 def workload_fileparts(queries: list[Query]) -> list[FilePart]:

@@ -1,10 +1,8 @@
 """Enterprise access-log simulator + access-predictor machinery (§IV-C)."""
-import numpy as np
 import pandas as pd
 import pytest
 
 from repro.core import cost_model as cm
-from repro.oracle import assert_equivalent
 from repro.workload import access_logs as al
 
 
@@ -64,27 +62,6 @@ class TestGenerator:
         per_ds = logs.groupby("dataset_id")["reads"].sum().sort_values(ascending=False)
         top10 = per_ds.head(len(per_ds) // 10).sum()
         assert top10 / max(per_ds.sum(), 1) > 0.5
-
-
-class TestSparkAggregation:
-    def test_monthly_counts_matches_duckdb(self, spark):
-        g = np.random.default_rng(0)
-        ev = pd.DataFrame(
-            {
-                "dataset_id": g.choice(["d1", "d2", "d3"], 500),
-                "ts": pd.to_datetime("2021-01-01")
-                + pd.to_timedelta(g.integers(0, 120 * 24 * 3600, 500), unit="s"),
-                "op": g.choice(["read", "write"], 500, p=[0.8, 0.2]),
-            }
-        )
-        got = al.monthly_counts_spark(spark.createDataFrame(ev))
-        sql = (
-            "SELECT dataset_id, strftime(ts, '%Y-%m') AS month, "
-            "SUM(CASE WHEN op = 'read' THEN 1 ELSE 0 END) AS reads, "
-            "SUM(CASE WHEN op = 'write' THEN 1 ELSE 0 END) AS writes "
-            "FROM events GROUP BY dataset_id, strftime(ts, '%Y-%m')"
-        )
-        assert_equivalent(got, sql, events=ev)
 
 
 class TestFeaturesAndLabels:

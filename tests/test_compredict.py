@@ -69,7 +69,9 @@ class TestWeightedEntropy:
         assert a["H_object"] == pytest.approx(b["H_object"])
 
     def test_spark_matches_pandas(self, spark, frame):
-        got = cp.weighted_entropy_spark(spark.createDataFrame(frame))
+        from repro.spark_ops import weighted_entropy
+
+        got = weighted_entropy(spark.createDataFrame(frame))
         want = cp.weighted_entropy_pandas(frame)
         for k in cp.ENTROPY_FEATURES:
             assert got[k] == pytest.approx(want[k], rel=1e-9), k

@@ -3,22 +3,21 @@
 import math
 
 import numpy as np
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import spark_ops
 from repro.core.datapart import (
     Interval,
     _union_length,
-    initial_partitions_python,
-    initial_partitions_spark,
     merge_stats,
     ordered_approx,
     ordered_brute_force,
     ordered_dp,
-    to_fileparts,
 )
+from repro.core.ilp import FilePart
+from repro.workload.queries import Query, workload_fileparts
 
 
 def _random_intervals(n, seed):
@@ -120,37 +119,21 @@ class TestTheorem6:
 
 class TestInitialPartitions:
     LOG = [
-        ("q1", frozenset(["f0", "f1"])),
-        ("q2", frozenset(["f1", "f0"])),
-        ("q3", frozenset(["f2"])),
-        ("q4", frozenset(["f2"])),
-        ("q5", frozenset(["f0"])),
+        Query("q1", "t", "", frozenset(["f0", "f1"])),
+        Query("q2", "t", "", frozenset(["f1", "f0"])),
+        Query("q3", "t", "", frozenset(["f2"])),
+        Query("q4", "t", "", frozenset(["f2"])),
+        Query("q5", "t", "", frozenset(["f0"])),
     ]
 
     def test_python_families(self):
-        fams = initial_partitions_python(self.LOG)
-        assert len(fams) == 3
-        got = {tuple(r.files): r.rho for r in fams.itertuples(index=False)}
-        assert got == {("f0", "f1"): 2, ("f2",): 2, ("f0",): 1}
+        assert workload_fileparts(self.LOG) == [
+            FilePart("q0", frozenset(["f0"]), 1.0),
+            FilePart("q1", frozenset(["f0", "f1"]), 2.0),
+            FilePart("q2", frozenset(["f2"]), 2.0),
+        ]
 
-    def test_spark_matches_python(self, spark):
-        qf = spark.createDataFrame(
-            pd.DataFrame(
-                [(q, f) for q, fs in self.LOG for f in sorted(fs)],
-                columns=["query_id", "file"],
-            )
-        )
-        got = initial_partitions_spark(qf)
-        want = initial_partitions_python(self.LOG)
-        pd.testing.assert_frame_equal(
-            got.reset_index(drop=True), want.reset_index(drop=True), check_dtype=False
-        )
-
-    def test_to_fileparts(self):
-        fams = initial_partitions_python(self.LOG)
-        parts = to_fileparts(fams)
-        assert len(parts) == 3
-        assert all(p.pid.startswith("q") for p in parts)
-        assert {p.files for p in parts} == {
-            frozenset(["f0", "f1"]), frozenset(["f2"]), frozenset(["f0"]),
-        }
+    def test_spark_matches_python(self, spark, workload):
+        for queries in (self.LOG, workload):
+            got = spark_ops.query_families(spark_ops.access_log(spark, queries))
+            assert got == workload_fileparts(queries)

@@ -2,7 +2,9 @@
 (neither runs a full job — benches cover the heavy paths)."""
 import importlib
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 import zipfile
 
@@ -58,6 +60,40 @@ class TestJobs:
         show("t", pd.DataFrame({"a": [1]}), pd.DataFrame({"a": [2]}))
         out = capsys.readouterr().out
         assert "paper" in out and "reproduction" in out
+
+
+#: Modules of the plan → place → serve path and their inputs; only
+#: ``repro.spark_ops`` (and the test oracle) may import pyspark.
+DRIVER_MODULES = (
+    "repro.core.pipeline",
+    "repro.core.datapart",
+    "repro.core.compredict",
+    "repro.experiments.common",
+    "repro.storage.tiers",
+    "repro.synth_data",
+    "repro.workload.queries",
+    "repro.workload.access_logs",
+)
+
+
+def test_driver_modules_import_no_pyspark():
+    """A fresh interpreter that imports the driver-side modules has not
+    loaded pyspark."""
+    code = (
+        "import importlib, sys\n"
+        f"for m in {DRIVER_MODULES!r}:\n"
+        "    importlib.import_module(m)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pyspark'))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestBuildBackend:

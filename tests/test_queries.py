@@ -9,18 +9,6 @@ from repro.oracle import assert_equivalent
 from repro.workload import queries as wq
 
 
-@pytest.fixture(scope="module")
-def tables():
-    from repro.experiments.common import tpch_table_files
-
-    return tpch_table_files(sf=0.003, logical_total_gb=100.0, n_files=8, seed=0)
-
-
-@pytest.fixture(scope="module")
-def workload(tables):
-    return wq.gen_tpch_workload(tables, n_per_template=3, seed=0)
-
-
 class TestSplitTable:
     def test_files_partition_all_rows(self, tables):
         for tf in tables.values():
@@ -95,11 +83,6 @@ class TestQueryFileMapping:
         fams = wq.workload_fileparts(workload)
         assert sum(p.rho for p in fams) == len(workload)
 
-    def test_query_log_shape(self, workload):
-        log = wq.query_log(workload)
-        assert len(log) == len(workload)
-        assert all(isinstance(fs, frozenset) for _, fs in log)
-
 
 class TestZipfWorkload:
     def test_recency_skew(self):
@@ -134,8 +117,8 @@ class TestSparkExecutionOracle:
     def test_query_matches_duckdb(self, spark, tables, workload, template):
         q = next(x for x in workload if x.query_id.startswith(template))
         tf = tables[q.table]
-        sdf = spark.createDataFrame(tf.pdf)
-        got = wq.run_query_spark(spark, sdf, q)
+        spark.createDataFrame(tf.pdf).createOrReplaceTempView(f"_q_{q.table}")
+        got = spark.sql(q.sql(relation=f"_q_{q.table}"))
         assert_equivalent(got, q.sql(), **{q.table: tf.pdf})
 
     def test_aggregation_query_matches_duckdb(self, spark, tables):

@@ -41,9 +41,6 @@ class TestTpchPdf:
         words = set(w for c in pdf["p_comment"] for w in c.split())
         assert words <= set(sd._VOCAB)
 
-    def test_spark_wrappers_match_pdf_row_counts(self, spark):
-        assert sd.supplier(spark, sf=0.002).count() == len(sd.supplier_pdf(sf=0.002))
-
 
 class TestEnterprisePdf:
     @pytest.mark.parametrize("name", sorted(sd.ENTERPRISE_PDF))
@@ -61,13 +58,3 @@ class TestEnterprisePdf:
     def test_three_tables(self):
         assert set(sd.ENTERPRISE_PDF) == {"events", "profiles", "transactions"}
 
-
-class TestLegacyGenerators:
-    def test_lineitem_spark(self, spark):
-        df = sd.lineitem(spark, sf=0.001)
-        assert df.count() > 0
-        assert "l_orderkey" in df.columns
-
-    def test_zipf_keys_skew(self, spark):
-        df = sd.zipf_keys(spark, n=5000, n_keys=100, alpha=2.0).toPandas()
-        assert df["k"].value_counts(normalize=True).iloc[0] > 0.3
