@@ -30,20 +30,14 @@ class MergedPartition:
 
 
 def _fractional_overlap(
-    a: FilePart | MergedPartition,
-    b: FilePart | MergedPartition,
-    file_sizes: dict[str, float],
+    a: MergedPartition, b: MergedPartition, file_sizes: dict[str, float]
 ) -> float:
+    """``Ov(a, b) / Sp(a ∪ b)``, with each node's cached ``span``."""
     union = a.files | b.files
     sp_u = span_of(frozenset(union), file_sizes)
     if sp_u == 0:
         return 0.0
-    ov = (
-        span_of(a.files, file_sizes)
-        + span_of(b.files, file_sizes)
-        - sp_u
-    )
-    return ov / sp_u
+    return (a.span + b.span - sp_u) / sp_u
 
 
 def _as_merged(p: FilePart, file_sizes: dict[str, float]) -> MergedPartition:
@@ -92,11 +86,12 @@ def gpart(
         if pa not in nodes or pb not in nodes:
             continue  # a stale edge to an already-merged node
         a, b = nodes.pop(pa), nodes.pop(pb)
+        files = a.files | b.files
         m = MergedPartition(
             pid=f"m{next(counter)}:{min(pa, pb)}",
             members=tuple(sorted(a.members + b.members)),
-            files=a.files | b.files,
-            span=span_of(a.files | b.files, file_sizes),
+            files=files,
+            span=span_of(files, file_sizes),
             rho=a.rho + b.rho,
         )
         nodes[m.pid] = m

@@ -157,45 +157,67 @@ def repair_capacity(
 ) -> pd.DataFrame:
     """Greedy capacity repair over an assignment and its candidate table.
 
-    While a tier exceeds its capacity, evict the assigned partition whose
-    cheapest feasible alternative (on a tier with head-room) costs the least
-    extra per GB freed. Heuristic — exactness is the ILP's job; tests check
-    feasibility and near-optimality on small instances.
+    While a tier exceeds its capacity, pick the tier with the largest
+    overflow and move the partition on it whose cheapest alternative fitting
+    the current head-room costs the least extra per GB freed. Each move is
+    one O(candidates) pass over arrays taken from ``cand`` once: a
+    partition's alternative is its first minimum-``weighted_cost`` row in
+    ``cand`` order, and ties in regret break on pid. Heuristic — exactness is
+    the ILP's job; tests check feasibility and near-optimality on small
+    instances. Raises ``ValueError`` when no partition on the over-full tier
+    fits another tier.
     """
+    names = [t.name for t in tiers]
     cap = {t.name: t.capacity_gb for t in tiers}
-    chosen = chosen.set_index("pid", drop=False).copy()
+    chosen = chosen.reset_index(drop=True)
+    pids = chosen["pid"].to_numpy()
+    tier = chosen["tier"].to_numpy(copy=True)
+    gb = chosen["stored_gb"].to_numpy(dtype=float, copy=True)
+    wc = chosen["weighted_cost"].to_numpy(dtype=float, copy=True)
+    # The candidate rows of assigned partitions on known tiers: ``at`` is the
+    # row's partition (a position in ``chosen``), ``to`` its tier index.
+    at = pd.Index(pids).get_indexer(cand["pid"])
+    to = pd.Index(names).get_indexer(cand["tier"])
+    rows = np.flatnonzero((at >= 0) & (to >= 0))
+    at, to = at[rows], to[rows]
+    c_gb = cand["stored_gb"].to_numpy(dtype=float)[rows]
+    c_wc = cand["weighted_cost"].to_numpy(dtype=float)[rows]
+    taken = np.full(len(chosen), -1)  # the candidate row a moved partition took
     for _ in range(10_000):
-        usage = chosen.groupby("tier")["stored_gb"].sum()
+        usage = pd.Series(gb).groupby(tier).sum()
         over = [
             (tname, usage.get(tname, 0.0) - cap[tname])
             for tname in usage.index
             if usage.get(tname, 0.0) > cap[tname] + 1e-9
         ]
         if not over:
-            return chosen.reset_index(drop=True)[ASSIGN_COLS]
-        tname = max(over, key=lambda x: x[1])[0]
-        room = {
-            t.name: cap[t.name] - float(usage.get(t.name, 0.0)) for t in tiers
-        }
-        victims = chosen[chosen["tier"] == tname]
-        best_move, best_key = None, None
-        for pid, row in victims.iterrows():
-            alts = cand[
-                (cand["pid"] == pid)
-                & (cand["tier"] != tname)
-                & (cand["stored_gb"] <= cand["tier"].map(room) + 1e-9)
-            ]
-            if alts.empty:
-                continue
-            alt = alts.loc[alts["weighted_cost"].idxmin()]
-            regret = (alt["weighted_cost"] - row["weighted_cost"]) / max(
-                row["stored_gb"], 1e-12
+            out = chosen[ASSIGN_COLS].copy()
+            moved = np.flatnonzero(taken >= 0)
+            for col in ASSIGN_COLS[1:]:
+                out.iloc[moved, out.columns.get_loc(col)] = (
+                    cand[col].to_numpy()[taken[moved]]
+                )
+            return out
+        tname, excess = max(over, key=lambda x: x[1])
+        k = names.index(tname)
+        room = np.array([cap[n] - float(usage.get(n, 0.0)) for n in names])
+        ok = np.flatnonzero(
+            (tier[at] == tname) & (to != k) & (c_gb <= room[to] + 1e-9)
+        )
+        if len(ok) == 0:
+            raise ValueError(
+                f"cannot repair capacity of tier {tname!r}: it holds "
+                f"{excess:.6g} GB over its capacity and no partition on it "
+                f"fits another tier"
             )
-            key = (regret, pid)
-            if best_key is None or key < best_key:
-                best_key, best_move = key, (pid, alt)
-        if best_move is None:
-            raise ValueError(f"cannot repair capacity of tier {tname!r}")
-        pid, alt = best_move
-        chosen.loc[pid, ASSIGN_COLS[1:]] = alt[ASSIGN_COLS[1:]].values
+        # Each partition's first minimum-cost alternative, in cand order.
+        ok = ok[np.lexsort((ok, c_wc[ok], at[ok]))]
+        first = ok[np.r_[True, at[ok][1:] != at[ok][:-1]]]
+        who = at[first]
+        regret = (c_wc[first] - wc[who]) / np.maximum(gb[who], 1e-12)
+        ties = np.flatnonzero(regret == regret.min())
+        j = first[min(ties, key=lambda t: pids[who[t]])]
+        i = at[j]
+        tier[i], gb[i], wc[i] = names[to[j]], c_gb[j], c_wc[j]
+        taken[i] = rows[j]
     raise RuntimeError("capacity repair did not converge")  # pragma: no cover

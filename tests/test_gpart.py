@@ -3,8 +3,10 @@ trade-off."""
 import numpy as np
 import pytest
 
+from repro.core import gpart as gp
 from repro.core.gpart import duplication, gpart, merge_all, read_cost
-from repro.core.ilp import FilePart, solve_merge_partitions_exact
+from repro.core.ilp import FilePart, solve_merge_partitions_exact, span_of
+from repro.workload.queries import workload_fileparts
 
 FS = {f"f{i}": 1.0 for i in range(12)}
 
@@ -121,3 +123,44 @@ class TestFig7Tradeoff:
             parts, FS, c_thresh=got_cost + 1e-9, rho_c=10.0, rho_abs=10.0
         )
         assert got_space <= 2 * exact_space + 1e-9
+
+
+def _reference_overlap(a, b, file_sizes):
+    """Ov / Sp(a ∪ b) with both spans recomputed from the file sets."""
+    sp_u = span_of(frozenset(a.files | b.files), file_sizes)
+    if sp_u == 0:
+        return 0.0
+    ov = span_of(a.files, file_sizes) + span_of(b.files, file_sizes) - sp_u
+    return ov / sp_u
+
+
+class TestCachedSpans:
+    """The overlap reads each node's cached span; recomputing ``span_of`` per
+    pair gives the same partitions, to the bit."""
+
+    def _check(self, monkeypatch, parts, file_sizes, **kw):
+        got = gpart(parts, file_sizes, **kw)
+        monkeypatch.setattr(gp, "_fractional_overlap", _reference_overlap)
+        want = gpart(parts, file_sizes, **kw)
+        assert any(len(m.members) > 1 for m in got)
+        assert got == want
+
+    def test_tpch_workload(self, monkeypatch, tables, workload):
+        sizes = {f.file_id: f.size_gb for tf in tables.values() for f in tf.files}
+        self._check(
+            monkeypatch, workload_fileparts(workload), sizes,
+            s_thresh=0.6 * sum(sizes.values()), rho_c=3.0, rho_abs=50.0,
+        )
+
+    def test_random_instance(self, monkeypatch):
+        g = np.random.default_rng(7)
+        sizes = {f"f{i}": float(g.uniform(0.01, 3.0)) for i in range(40)}
+        parts = [
+            FilePart(
+                f"p{i}",
+                frozenset(f"f{j}" for j in g.choice(40, g.integers(1, 8), replace=False)),
+                float(g.integers(1, 20)),
+            )
+            for i in range(60)
+        ]
+        self._check(monkeypatch, parts, sizes, s_thresh=15.0, rho_c=3.0, rho_abs=5.0)

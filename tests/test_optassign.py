@@ -1,5 +1,7 @@
 """OPTASSIGN: greedy vs exact ILP (Theorem 3), candidate rows vs the scalar
-cost formula, capacity repair."""
+cost formula, capacity repair against its per-victim reference."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core import cost_model as cm
 from repro.core import optassign as oa
 from repro.core.ilp import PartitionSpec, SchemePrediction, solve_optassign_exact
+from repro.core.pipeline import _latency_objective
 
 
 def _parts(n, seed=0, with_extras=False):
@@ -237,5 +240,127 @@ class TestCapacityRepair:
     def test_unrepairable_raises(self):
         parts = pd.DataFrame({"pid": ["p"], "span_gb": [100.0], "accesses": [0.0]})
         tiers = [cm.Tier("hot", 2.08, 0.013, 0.026, 0.06, capacity_gb=1.0)]
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError,
+            match=r"tier 'hot': it holds 99 GB over its capacity and no "
+            r"partition on it fits another tier",
+        ):
             oa.assign(parts, None, tiers, months=1.0)
+
+    def test_empty_partitions_under_capacity(self):
+        parts = pd.DataFrame(
+            {"pid": pd.Series([], dtype=object), "span_gb": [], "accesses": []}
+        )
+        got = oa.assign(parts, None, cm.make_tiers(total_gb=10.0), months=1.0)
+        assert list(got.columns) == oa.ASSIGN_COLS
+        assert got.empty
+
+    def test_zero_access_partitions_under_tight_capacity(self):
+        """Eight idle 1 GB partitions all prefer cool (4.891 GB): equal regrets
+        break on pid, so p0-p2 fill hot and p3 goes to premium."""
+        parts = pd.DataFrame(
+            {"pid": [f"p{i}" for i in range(8)], "span_gb": [1.0] * 8,
+             "accesses": [0.0] * 8}
+        )
+        tiers = cm.make_tiers(("premium", "hot", "cool"), total_gb=10.0)
+        got = oa.assign(parts, None, tiers, months=1.0)
+        assert list(got["tier"]) == ["hot"] * 3 + ["premium"] + ["cool"] * 4
+        usage = got.groupby("tier")["stored_gb"].sum()
+        assert all(usage[t.name] <= t.capacity_gb for t in tiers)
+
+
+def _reference_repair(chosen, cand, tiers):
+    """The per-victim capacity repair loop that ``oa.repair_capacity``
+    replaced, kept as its oracle: same moves, same tie-breaks."""
+    cap = {t.name: t.capacity_gb for t in tiers}
+    chosen = chosen.set_index("pid", drop=False).copy()
+    for _ in range(10_000):
+        usage = chosen.groupby("tier")["stored_gb"].sum()
+        over = [
+            (tname, usage.get(tname, 0.0) - cap[tname])
+            for tname in usage.index
+            if usage.get(tname, 0.0) > cap[tname] + 1e-9
+        ]
+        if not over:
+            return chosen.reset_index(drop=True)[oa.ASSIGN_COLS]
+        tname = max(over, key=lambda x: x[1])[0]
+        room = {
+            t.name: cap[t.name] - float(usage.get(t.name, 0.0)) for t in tiers
+        }
+        victims = chosen[chosen["tier"] == tname]
+        best_move, best_key = None, None
+        for pid, row in victims.iterrows():
+            alts = cand[
+                (cand["pid"] == pid)
+                & (cand["tier"] != tname)
+                & (cand["stored_gb"] <= cand["tier"].map(room) + 1e-9)
+            ]
+            if alts.empty:
+                continue
+            alt = alts.loc[alts["weighted_cost"].idxmin()]
+            regret = (alt["weighted_cost"] - row["weighted_cost"]) / max(
+                row["stored_gb"], 1e-12
+            )
+            key = (regret, pid)
+            if best_key is None or key < best_key:
+                best_key, best_move = key, (pid, alt)
+        if best_move is None:
+            raise ValueError(f"cannot repair capacity of tier {tname!r}")
+        pid, alt = best_move
+        chosen.loc[pid, oa.ASSIGN_COLS[1:]] = alt[oa.ASSIGN_COLS[1:]].values
+    raise RuntimeError("capacity repair did not converge")
+
+
+def _repair_instance(seed):
+    """A greedy assignment that overflows premium or hot, with cool unbounded.
+
+    Spans, accesses, ratios and decode costs come from small sets, so equal
+    candidate rows tie in ``weighted_cost`` within a partition and in regret
+    across partitions. Odd seeds set ``current_tier``, every fifth has no
+    scheme predictions, and every third uses the latency objective.
+    """
+    g = np.random.default_rng(seed)
+    n = int(g.integers(20, 60))
+    parts = pd.DataFrame(
+        {
+            "pid": [f"p{i:02d}" for i in range(n)],
+            "span_gb": g.choice([0.5, 1.0, 2.0, 4.0], n),
+            "accesses": g.choice([0.0, 1e3, 1e4, 1e5], n),
+        }
+    )
+    if seed % 2:
+        parts["current_tier"] = g.choice(
+            np.array(["premium", "hot", None], dtype=object), n
+        )
+    preds = None
+    if seed % 5:
+        preds = pd.DataFrame(
+            [
+                {"pid": pid, "scheme": s, "ratio": g.choice([1.5, 3.0]),
+                 "decomp_sec_per_gb": g.choice([0.2, 5.0])}
+                for pid in parts["pid"]
+                for s in ("parquet+gzip", "parquet+snappy")
+            ]
+        )
+    # Whole-GB capacities, so that some alternatives fit the head-room exactly.
+    total_gb = parts["span_gb"].sum() * g.uniform(0.3, 1.0)
+    tiers = [
+        replace(t, capacity_gb=float(np.floor(cm.CAPACITY_FRACTION[t.name] * total_gb)))
+        for t in cm.make_tiers(("premium", "hot"))
+    ] + cm.make_tiers(("cool",))
+    cand = oa.candidate_frame_numpy(parts, preds, tiers, months=5.5)
+    if seed % 3 == 0:
+        cand = _latency_objective(cand)
+    unbounded = [replace(t, capacity_gb=np.inf) for t in tiers]
+    return oa.assign_candidates(cand, parts["pid"], unbounded), cand, tiers
+
+
+class TestRepairMatchesReference:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_same_moves(self, seed):
+        chosen, cand, tiers = _repair_instance(seed)
+        got = oa.repair_capacity(chosen, cand, tiers)
+        assert (got["tier"] != chosen["tier"]).any()
+        pd.testing.assert_frame_equal(
+            got, _reference_repair(chosen, cand, tiers), check_exact=True
+        )
