@@ -13,7 +13,6 @@ truth from :mod:`repro.storage.codecs`. Models from :mod:`repro.ml`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -91,46 +90,22 @@ def random_row_samples(
     return out
 
 
-@dataclass
-class SampleRecord:
-    """One training example: a sample partition + features + ground truth."""
-
-    features: dict[str, float]
-    size_mb: float
-    n_rows: int
-    truth: dict[str, codecs.CompressionMeasurement]
-
-
-def featurize_sample(
-    pdf: pd.DataFrame,
-    schemes: Iterable[str],
-    *,
-    repeats: int = 2,
-) -> SampleRecord:
-    """Compute weighted-entropy features + ground-truth labels for a sample."""
-    feats = weighted_entropy_pandas(pdf)
-    raw = codecs.csv_bytes(pdf)
-    return SampleRecord(
-        features=feats,
-        size_mb=len(raw) / 2**20,
-        n_rows=len(pdf),
-        truth=codecs.measure_all(pdf, tuple(schemes), repeats=repeats),
-    )
-
-
-def build_dataset(records: list[SampleRecord], schemes: Iterable[str]) -> pd.DataFrame:
-    """Flatten SampleRecords into a model-ready frame.
+def label_samples(
+    samples: list[pd.DataFrame], schemes: tuple[str, ...], *, repeats: int
+) -> pd.DataFrame:
+    """The model-ready frame of weighted-entropy features and ground-truth
+    labels, one row per sample.
 
     Columns: entropy features, size features, and per scheme
     ``ratio_<scheme>`` / ``dsec_<scheme>`` (decompression sec/GB) targets.
     """
     rows = []
-    for r in records:
-        row = dict(r.features)
-        row["size_mb"] = r.size_mb
-        row["n_rows"] = r.n_rows
+    for pdf in samples:
+        row = weighted_entropy_pandas(pdf)
+        row["size_mb"] = len(codecs.csv_bytes(pdf)) / 2**20
+        row["n_rows"] = len(pdf)
         for s in schemes:
-            m = r.truth[s]
+            m = codecs.measure(pdf, s, repeats=repeats)
             row[f"ratio_{s}"] = m.ratio
             row[f"dsec_{s}"] = m.decomp_sec_per_gb
         rows.append(row)

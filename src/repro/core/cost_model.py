@@ -58,8 +58,6 @@ CAPACITY_FRACTION = {
 #: Archive from the 5.5-month Tables IX–XI runs for exactly this reason and
 #: only uses it for >= 6-month horizons (§VII, §IV-C).
 ARCHIVE_MIN_MONTHS = 6
-#: Cool minimum residency (30 days on Azure).
-COOL_MIN_MONTHS = 1
 
 
 @dataclass(frozen=True)

@@ -50,15 +50,6 @@ def _as_merged(p: FilePart, file_sizes: dict[str, float]) -> MergedPartition:
     )
 
 
-def _feasible(a: MergedPartition, b: MergedPartition, rho_c: float, rho_abs: float) -> bool:
-    return merge_feasible(
-        FilePart(a.pid, a.files, a.rho),
-        FilePart(b.pid, b.files, b.rho),
-        rho_c=rho_c,
-        rho_abs=rho_abs,
-    )
-
-
 def gpart(
     parts: list[FilePart],
     file_sizes: dict[str, float],
@@ -75,7 +66,7 @@ def gpart(
         raise ValueError("duplicate partition ids")
     heap: list[tuple[float, str, str]] = []  # (-overlap, pid_a, pid_b)
     for a, b in itertools.combinations(nodes.values(), 2):
-        if not _feasible(a, b, rho_c, rho_abs):
+        if not merge_feasible(a, b, rho_c=rho_c, rho_abs=rho_abs):
             continue
         w = _fractional_overlap(a, b, file_sizes)
         if w > 0:
@@ -100,7 +91,7 @@ def gpart(
         for other in nodes.values():
             if other.pid == m.pid:
                 continue
-            if not _feasible(m, other, rho_c, rho_abs):
+            if not merge_feasible(m, other, rho_c=rho_c, rho_abs=rho_abs):
                 continue
             w = _fractional_overlap(m, other, file_sizes)
             if w > 0:

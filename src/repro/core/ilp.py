@@ -10,8 +10,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core import cost_model as cm
+
+if TYPE_CHECKING:
+    from repro.core.gpart import MergedPartition
 
 
 # --------------------------------------------------------------------------
@@ -186,10 +190,15 @@ def span_of(files: frozenset[str], file_sizes: dict[str, float]) -> float:
 
 
 def merge_feasible(
-    a: FilePart, b: FilePart, *, rho_c: float, rho_abs: float
+    a: FilePart | MergedPartition,
+    b: FilePart | MergedPartition,
+    *,
+    rho_c: float,
+    rho_abs: float,
 ) -> bool:
-    """Access-comparability constraint of §VI-A: ratio within ρ_c OR absolute
-    difference within ρ'_c."""
+    """Access-comparability constraint of §VI-A on two partitions' access
+    counts ``rho`` (initial partitions or G-PART nodes): ratio within ρ_c OR
+    absolute difference within ρ'_c."""
     lo, hi = min(a.rho, b.rho), max(a.rho, b.rho)
     if abs(a.rho - b.rho) <= rho_abs:
         return True

@@ -239,9 +239,8 @@ def _latency_objective(cand: pd.DataFrame) -> pd.DataFrame:
     """Swap the objective for the latency-focused rows: expected per-access
     latency (TTFB + decompression time), cost as tiebreak."""
     out = cand.copy()
-    out["_cost_backup"] = out["weighted_cost"]
     out["weighted_cost"] = (
-        out["read_latency"] + out["decomp_latency"] + 1e-9 * out["_cost_backup"]
+        out["read_latency"] + out["decomp_latency"] + 1e-9 * out["weighted_cost"]
     )
     return out
 

@@ -3,12 +3,10 @@ physical SF with logical-size scaling (DESIGN.md substitution #3), sample
 generation for COMPREDICT, and formatting helpers."""
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from repro import synth_data as sd
 from repro.core import compredict as cp
-from repro.storage import codecs
 from repro.workload import queries as wq
 
 
@@ -89,17 +87,6 @@ def query_samples(
         if max_samples is not None and len(out) >= max_samples:
             break
     return out
-
-
-def compredict_dataset(
-    samples: list[pd.DataFrame],
-    schemes: tuple[str, ...],
-    *,
-    repeats: int = 2,
-) -> pd.DataFrame:
-    """Featurise + label samples into a model-ready frame."""
-    records = [cp.featurize_sample(s, schemes, repeats=repeats) for s in samples]
-    return cp.build_dataset(records, schemes)
 
 
 #: Table-name aliases between the paper's scheme labels and ours.

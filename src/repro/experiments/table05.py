@@ -54,8 +54,8 @@ def run(
             )
         )
     r_samples = [s.head(max_rows) for s in r_samples]
-    q_data = common.compredict_dataset(q_samples, (SCHEME,), repeats=repeats)
-    r_data = common.compredict_dataset(r_samples, (SCHEME,), repeats=repeats)
+    q_data = cp.label_samples(q_samples, (SCHEME,), repeats=repeats)
+    r_data = cp.label_samples(r_samples, (SCHEME,), repeats=repeats)
     # Held-out query split used as the common test set for all three rows.
     idx = g.permutation(len(q_data))
     n_test = max(1, len(q_data) // 3)

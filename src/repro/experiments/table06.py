@@ -48,7 +48,7 @@ def build_dataset(
     tables = common.tpch_table_files(sf=sf, seed=seed, skew=skew)
     queries = wq.gen_tpch_workload(tables, n_per_template=n_per_template, seed=seed)
     samples = common.query_samples(tables, queries, max_rows=max_rows)
-    return common.compredict_dataset(samples, tuple(SCHEMES.values()), repeats=repeats)
+    return cp.label_samples(samples, tuple(SCHEMES.values()), repeats=repeats)
 
 
 def run(dataset: pd.DataFrame | None = None, **dataset_kw) -> pd.DataFrame:

@@ -1,4 +1,4 @@
-"""Compression substrate for COMPREDICT (§V).
+"""Compression substrate for COMPREDICT (§V) and the tiered store (§VII).
 
 Real codecs (gzip / snappy / lz4 via ``pyarrow.Codec``) applied to the two
 data layouts the paper studies:
@@ -10,12 +10,26 @@ data layouts the paper studies:
   is the *uncompressed* parquet file so the ratio isolates the codec, as in
   the paper where both layouts start from the same logical data.
 
+``none`` (OPTASSIGN's mandatory no-compression option) is uncompressed
+Parquet. Every scheme has one format, shared by three roles:
+
+- :func:`encode` maps a frame to the bytes a scheme stores, plus the
+  uncompressed serialisation they expand to; ``TieredStore.put`` writes them;
+- :func:`decode` maps stored bytes back to a frame (``TieredStore.get``);
+- :func:`measure` labels a scheme on a frame from :func:`encode`'s bytes and
+  the timed first step of :func:`decode`. So the ratio OPTASSIGN prices is
+  the ratio of the bytes the store writes.
+
 Measured quantities per (partition, scheme):
 
 - ``ratio``      — uncompressed bytes / compressed bytes (R_i^k, >= 1 usually);
 - ``decomp_sec_per_gb`` — wall-clock decompression time normalised to 1 GB
   (the unit of Table VIII), measured over ``repeats`` runs taking the min
   (least-noise estimator for CPU-bound work).
+
+The timed step is not the same work for both layouts: for CSV it only
+decompresses the bytes and excludes parsing them into a frame, while for
+Parquet it reads the file into an Arrow table, which includes decoding it.
 """
 from __future__ import annotations
 
@@ -36,8 +50,6 @@ ALL_SCHEMES = ROW_SCHEMES + COL_SCHEMES
 #: The mandatory 'no compression' option of OPTASSIGN (§IV-A).
 NO_COMPRESSION = "none"
 
-_PARQUET_CODEC = {"gzip": "gzip", "snappy": "snappy", "lz4": "lz4"}
-
 
 @dataclass(frozen=True)
 class CompressionMeasurement:
@@ -46,7 +58,6 @@ class CompressionMeasurement:
     scheme: str
     raw_bytes: int
     compressed_bytes: int
-    compress_sec: float
     decomp_sec: float
 
     @property
@@ -58,8 +69,11 @@ class CompressionMeasurement:
         return self.decomp_sec / max(1e-12, self.raw_bytes / 2**30)
 
 
-def split_scheme(scheme: str) -> tuple[str, str]:
-    """``'parquet+gzip' -> ('parquet', 'gzip')``; validates the name."""
+def split_scheme(scheme: str) -> tuple[str, str | None]:
+    """``'parquet+gzip' -> ('parquet', 'gzip')``, ``'none' -> ('parquet',
+    None)``; validates the name."""
+    if scheme == NO_COMPRESSION:
+        return "parquet", None
     layout, _, codec = scheme.partition("+")
     if layout not in ("csv", "parquet") or codec not in CODECS:
         raise ValueError(f"unknown scheme {scheme!r}")
@@ -73,13 +87,12 @@ def csv_bytes(pdf: pd.DataFrame) -> bytes:
     return buf.getvalue().encode()
 
 
-def parquet_bytes(pdf: pd.DataFrame, codec: str | None = None) -> bytes:
+def parquet_bytes(data: pd.DataFrame | pa.Table, codec: str | None = None) -> bytes:
     """Column-store serialisation; ``codec=None`` writes uncompressed parquet."""
+    if isinstance(data, pd.DataFrame):
+        data = pa.Table.from_pandas(data, preserve_index=False)
     sink = io.BytesIO()
-    table = pa.Table.from_pandas(pdf, preserve_index=False)
-    pq.write_table(
-        table, sink, compression=_PARQUET_CODEC[codec] if codec else "none"
-    )
+    pq.write_table(data, sink, compression=codec or "none")
     return sink.getvalue()
 
 
@@ -91,39 +104,48 @@ def decompress_bytes(blob: bytes, codec: str, raw_len: int) -> bytes:
     return pa.Codec(codec).decompress(blob, raw_len, asbytes=True)
 
 
-def _timed(fn, repeats: int) -> tuple[float, object]:
-    best, out = float("inf"), None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
-
-
-def measure(pdf: pd.DataFrame, scheme: str, *, repeats: int = 3) -> CompressionMeasurement:
-    """Measure ratio + compress/decompress time of ``scheme`` on ``pdf``."""
+def encode(pdf: pd.DataFrame, scheme: str) -> tuple[bytes, bytes]:
+    """``(blob, raw)``: the bytes ``scheme`` stores for ``pdf`` and the
+    uncompressed serialisation of its layout they expand to (CSV bytes or
+    uncompressed Parquet; for ``none`` both are the same bytes)."""
     layout, codec = split_scheme(scheme)
     if layout == "csv":
         raw = csv_bytes(pdf)
-        c_sec, blob = _timed(lambda: compress_bytes(raw, codec), repeats)
-        d_sec, back = _timed(lambda: decompress_bytes(blob, codec, len(raw)), repeats)
-        if back != raw:  # pragma: no cover - codec bug guard
-            raise RuntimeError(f"{scheme} round-trip mismatch")
-        return CompressionMeasurement(scheme, len(raw), len(blob), c_sec, d_sec)
-    raw_len = len(parquet_bytes(pdf, codec=None))
-    c_sec, blob = _timed(lambda: parquet_bytes(pdf, codec=codec), repeats)
-
-    def _read():
-        return pq.read_table(io.BytesIO(blob))
-
-    d_sec, table = _timed(_read, repeats)
-    if table.num_rows != len(pdf):  # pragma: no cover - codec bug guard
-        raise RuntimeError(f"{scheme} round-trip row-count mismatch")
-    return CompressionMeasurement(scheme, raw_len, len(blob), c_sec, d_sec)
+        return compress_bytes(raw, codec), raw
+    table = pa.Table.from_pandas(pdf, preserve_index=False)
+    raw = parquet_bytes(table)
+    return (parquet_bytes(table, codec) if codec else raw), raw
 
 
-def measure_all(
-    pdf: pd.DataFrame, schemes: tuple[str, ...] = ALL_SCHEMES, *, repeats: int = 3
-) -> dict[str, CompressionMeasurement]:
-    """Ground truth for every scheme on one partition (COMPREDICT labels)."""
-    return {s: measure(pdf, s, repeats=repeats) for s in schemes}
+def _decompress(blob: bytes, scheme: str, raw_bytes: int) -> bytes | pa.Table:
+    """The step :func:`measure` times: CSV bytes decompressed, or Parquet
+    read into an Arrow table."""
+    layout, codec = split_scheme(scheme)
+    if layout == "csv":
+        return decompress_bytes(blob, codec, raw_bytes)
+    return pq.read_table(io.BytesIO(blob))
+
+
+def decode(blob: bytes, scheme: str, raw_bytes: int) -> pd.DataFrame:
+    """The frame that :func:`encode`'s ``blob`` stores; ``raw_bytes`` is the
+    length of its ``raw``."""
+    out = _decompress(blob, scheme, raw_bytes)
+    if isinstance(out, pa.Table):
+        return out.to_pandas()
+    return pd.read_csv(io.BytesIO(out))
+
+
+def measure(pdf: pd.DataFrame, scheme: str, *, repeats: int = 3) -> CompressionMeasurement:
+    """Measure the ratio and decompression time of ``scheme`` on ``pdf``."""
+    blob, raw = encode(pdf, scheme)
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        back = _decompress(blob, scheme, len(raw))
+        best = min(best, time.perf_counter() - t0)
+    if isinstance(back, pa.Table):
+        if back.num_rows != len(pdf):  # pragma: no cover - codec bug guard
+            raise RuntimeError(f"{scheme} round-trip row-count mismatch")
+    elif back != raw:  # pragma: no cover - codec bug guard
+        raise RuntimeError(f"{scheme} round-trip mismatch")
+    return CompressionMeasurement(scheme, len(raw), len(blob), best)

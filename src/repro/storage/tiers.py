@@ -7,18 +7,17 @@ directories so the write/read/move paths are exercised end-to-end, and
 (b) meters every operation with the exact Table-XII prices so the billing
 arithmetic is the same as the paper's.
 
-Objects are written through :mod:`repro.storage.codecs` in their assigned
-scheme, so the bytes on disk are genuinely compressed.
+Objects are written with :func:`repro.storage.codecs.encode` and read with
+:func:`repro.storage.codecs.decode` in their assigned scheme, so the bytes on
+disk are genuinely compressed and are the bytes ``codecs.measure`` labels.
 """
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import pandas as pd
-import pyarrow.parquet as pq
 
 from repro.core import cost_model as cm
 from repro.storage import codecs
@@ -78,37 +77,14 @@ class TieredStore:
         p.parent.mkdir(parents=True, exist_ok=True)
         return p
 
-    @staticmethod
-    def _encode(pdf: pd.DataFrame, scheme: str) -> tuple[bytes, int]:
-        """Serialise ``pdf`` per ``scheme``; returns (blob, raw_bytes)."""
-        if scheme == codecs.NO_COMPRESSION:
-            blob = codecs.parquet_bytes(pdf, codec=None)
-            return blob, len(blob)
-        layout, codec = codecs.split_scheme(scheme)
-        if layout == "csv":
-            raw = codecs.csv_bytes(pdf)
-            return codecs.compress_bytes(raw, codec), len(raw)
-        blob = codecs.parquet_bytes(pdf, codec=codec)
-        return blob, len(codecs.parquet_bytes(pdf, codec=None))
-
-    @staticmethod
-    def _decode(blob: bytes, scheme: str, raw_bytes: int) -> pd.DataFrame:
-        if scheme == codecs.NO_COMPRESSION:
-            return pq.read_table(io.BytesIO(blob)).to_pandas()
-        layout, codec = codecs.split_scheme(scheme)
-        if layout == "csv":
-            raw = codecs.decompress_bytes(blob, codec, raw_bytes)
-            return pd.read_csv(io.BytesIO(raw))
-        return pq.read_table(io.BytesIO(blob)).to_pandas()
-
     # -- public API ------------------------------------------------------
     def put(self, key: str, pdf: pd.DataFrame, *, tier: str, scheme: str) -> ObjectMeta:
         """Write a partition to a tier in a scheme; bills the write."""
         if tier not in self.tiers:
             raise ValueError(f"unknown tier {tier!r}")
-        blob, raw = self._encode(pdf, scheme)
+        blob, raw = codecs.encode(pdf, scheme)
         self._path(tier, key).write_bytes(blob)
-        meta = ObjectMeta(key, tier, scheme, raw, len(blob))
+        meta = ObjectMeta(key, tier, scheme, len(raw), len(blob))
         self.catalog[key] = meta
         cents = cm.WRITE_COST[tier] * len(blob) / 2**30
         self.meter.write += cents
@@ -122,7 +98,7 @@ class TieredStore:
         cents = cm.READ_COST[meta.tier] * len(blob) / 2**30
         self.meter.read += cents
         self.meter.record("read", key, cents)
-        return self._decode(blob, meta.scheme, meta.raw_bytes)
+        return codecs.decode(blob, meta.scheme, meta.raw_bytes)
 
     def move(self, key: str, dst: str) -> ObjectMeta:
         """Tier change: bills Δ(u,v) = read(u) + write(v), plus any archive

@@ -32,6 +32,9 @@ class TestSchemes:
         assert layout in ("csv", "parquet")
         assert codec in codecs.CODECS
 
+    def test_none_is_uncompressed_parquet(self):
+        assert codecs.split_scheme(codecs.NO_COMPRESSION) == ("parquet", None)
+
     @pytest.mark.parametrize("bad", ["zip", "csv+zip", "orc+gzip", "parquetgzip"])
     def test_split_scheme_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -70,7 +73,6 @@ class TestMeasurements:
     def test_ratio_positive_times_positive(self, frame, scheme):
         m = codecs.measure(frame, scheme, repeats=1)
         assert m.ratio > 0
-        assert m.compress_sec > 0
         assert m.decomp_sec > 0
         assert m.decomp_sec_per_gb > 0
 
@@ -93,10 +95,6 @@ class TestMeasurements:
             codecs.measure(rand, "csv+gzip", repeats=1).ratio
             < codecs.measure(rep, "csv+gzip", repeats=1).ratio
         )
-
-    def test_measure_all_covers_schemes(self, frame):
-        out = codecs.measure_all(frame.head(200), repeats=1)
-        assert set(out) == set(codecs.ALL_SCHEMES)
 
     def test_ratio_definition(self, frame):
         m = codecs.measure(frame, "csv+gzip", repeats=1)

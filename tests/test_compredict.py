@@ -4,6 +4,7 @@ import pandas as pd
 import pytest
 
 from repro.core import compredict as cp
+from repro.storage import codecs
 
 
 @pytest.fixture(scope="module")
@@ -88,30 +89,44 @@ class TestSamples:
         assert all(1 <= len(s) <= len(frame) for s in samples)
 
     def test_featurize_sample(self, frame):
-        rec = cp.featurize_sample(frame, ("csv+gzip",), repeats=1)
-        assert rec.n_rows == len(frame)
-        assert rec.size_mb > 0
-        assert "csv+gzip" in rec.truth
+        ds = cp.label_samples([frame], ("csv+gzip",), repeats=1)
+        assert list(ds.columns) == [
+            *cp.ENTROPY_FEATURES, *cp.SIZE_FEATURES, "ratio_csv+gzip", "dsec_csv+gzip",
+        ]
+        assert ds["n_rows"].tolist() == [len(frame)]
+        assert ds["size_mb"].iloc[0] > 0
+        assert ds.iloc[0][list(cp.ENTROPY_FEATURES)].to_dict() == (
+            cp.weighted_entropy_pandas(frame)
+        )
 
     def test_build_dataset_columns(self, frame):
-        recs = [cp.featurize_sample(frame.head(n), ("csv+gzip", "csv+snappy"), repeats=1)
-                for n in (50, 100)]
-        ds = cp.build_dataset(recs, ("csv+gzip", "csv+snappy"))
-        assert len(ds) == 2
-        for col in ("ratio_csv+gzip", "dsec_csv+gzip", "ratio_csv+snappy",
-                    "size_mb", "n_rows", *cp.ENTROPY_FEATURES):
-            assert col in ds.columns
+        ds = cp.label_samples(
+            [frame.head(n) for n in (50, 100)], ("csv+gzip", "csv+snappy"), repeats=1
+        )
+        assert ds["n_rows"].tolist() == [50, 100]
+        assert list(ds.columns) == [
+            *cp.ENTROPY_FEATURES, *cp.SIZE_FEATURES,
+            "ratio_csv+gzip", "dsec_csv+gzip", "ratio_csv+snappy", "dsec_csv+snappy",
+        ]
+
+    def test_label_samples_covers_schemes(self, frame):
+        ds = cp.label_samples([frame.head(200)], codecs.ALL_SCHEMES, repeats=1)
+        labels = list(ds.columns)[len(cp.ENTROPY_FEATURES) + len(cp.SIZE_FEATURES):]
+        assert labels == [
+            f"{t}_{s}" for s in codecs.ALL_SCHEMES for t in ("ratio", "dsec")
+        ]
 
 
 class TestTrainEval:
     @pytest.fixture(scope="class")
     def dataset(self, frame):
         g = np.random.default_rng(1)
-        recs = []
-        for _ in range(30):
-            n = int(g.integers(40, 300))
-            recs.append(cp.featurize_sample(frame.head(n), ("csv+gzip",), repeats=1))
-        return cp.build_dataset(recs, ("csv+gzip",))
+        samples = [frame.head(int(g.integers(40, 300))) for _ in range(30)]
+        ds = cp.label_samples(samples, ("csv+gzip",), repeats=1)
+        assert list(ds.columns) == [
+            *cp.ENTROPY_FEATURES, *cp.SIZE_FEATURES, "ratio_csv+gzip", "dsec_csv+gzip",
+        ]
+        return ds
 
     def test_models_beat_averaging(self, dataset):
         feats = cp.ENTROPY_FEATURES + ("size_mb",)

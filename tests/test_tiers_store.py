@@ -42,6 +42,19 @@ class TestPutGet:
             store.put("k", frame, tier="lukewarm", scheme="csv+gzip")
 
 
+class TestOneFormat:
+    @pytest.mark.parametrize("scheme", (codecs.NO_COMPRESSION,) + codecs.ALL_SCHEMES)
+    def test_store_writes_the_measured_bytes(self, store, frame, scheme):
+        """The ratio OPTASSIGN prices is the ratio of the bytes the store writes."""
+        blob, raw = codecs.encode(frame, scheme)
+        meta = store.put("k", frame, tier="hot", scheme=scheme)
+        assert (store.root / "hot" / "k").read_bytes() == blob
+        assert (meta.stored_bytes, meta.raw_bytes) == (len(blob), len(raw))
+        if scheme != codecs.NO_COMPRESSION:
+            m = codecs.measure(frame, scheme, repeats=1)
+            assert (m.compressed_bytes, m.raw_bytes) == (meta.stored_bytes, meta.raw_bytes)
+
+
 class TestBilling:
     def test_write_billed_at_tier_rate(self, store, frame):
         meta = store.put("k", frame, tier="hot", scheme=codecs.NO_COMPRESSION)
