@@ -1,6 +1,6 @@
 """Shared harness for the experiment modules: dataset construction at a
 physical SF with logical-size scaling (DESIGN.md substitution #3), sample
-generation for COMPREDICT, and formatting helpers."""
+generation for COMPREDICT, and the COMPREDICT metrics grid."""
 from __future__ import annotations
 
 import pandas as pd
@@ -89,16 +89,6 @@ def query_samples(
     return out
 
 
-#: Table-name aliases between the paper's scheme labels and ours.
-PAPER_SCHEME = {
-    "gzip": "csv+gzip",
-    "snappy": "csv+snappy",
-    "parquet + gzip": "parquet+gzip",
-    "parquet + snappy": "parquet+snappy",
-    "parquet + lz4": "parquet+lz4",
-}
-
-
 def metrics_grid(
     dataset: pd.DataFrame,
     *,
@@ -125,8 +115,3 @@ def metrics_grid(
             row[f"{label} R2"] = round(m["R2"], 3)
         rows.append(row)
     return pd.DataFrame(rows)
-
-
-def fmt(df: pd.DataFrame) -> str:
-    """Console rendering used by the bench/job entrypoints."""
-    return df.to_string(index=False)

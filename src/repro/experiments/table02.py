@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.ml import RandomForestClassifier
 from repro.workload import access_logs as al
 
 #: Paper Table II (total size in PB, % benefit at 2 and 6 months).
@@ -40,55 +39,27 @@ CUSTOMERS = {
     "D": (240, 0.085, 23),
 }
 
-
-def predicted_tier_policy(
-    meta: pd.DataFrame,
-    logs: pd.DataFrame,
-    *,
-    t0: int,
-    horizon: int,
-    tier_names: tuple[str, ...],
-    window: int = 12,
-) -> pd.Series:
-    """Out-of-time RF tier classifier → predicted tier per dataset."""
-    feats_cols = al.FEATURE_COLS(window)
-    Xs, ys = [], []
-    for t in range(window + 1, t0 - horizon + 1):
-        f = al.feature_frame(meta, logs, t0=t, window=window)
-        f = f[f["age_months"] >= 1]  # new data handled separately (§IV-A)
-        labels = al.ideal_tiers(
-            meta, logs, t0=t, horizon=horizon, tier_names=tier_names
-        )
-        lab = f["dataset_id"].map(labels.set_index("pid")["tier"])
-        keep = lab.notna()
-        Xs.append(f.loc[keep, feats_cols])
-        ys.append(lab[keep])
-    X = pd.concat(Xs).to_numpy(dtype=float)
-    y = pd.concat(ys).to_numpy()
-    clf = RandomForestClassifier(n_estimators=40, max_depth=12, random_state=0).fit(X, y)
-    f0 = al.feature_frame(meta, logs, t0=t0, window=window)
-    f0 = f0[f0["age_months"] >= 1]  # new data handled separately (§IV-A)
-    pred = clf.predict(f0[feats_cols].to_numpy(dtype=float))
-    return pd.Series(pred, index=f0["dataset_id"].to_numpy())
+#: Feature window in months: a full seasonal cycle.
+WINDOW = 12
 
 
 def run_customer(
     *, n_datasets: int, target_pb: float, seed: int, t0: int = 26, months: int = 32
 ) -> dict[str, float]:
     """% benefit vs all-hot at 2 and 6-month horizons for one account."""
-    meta, logs = al.gen_enterprise_logs(n_datasets=n_datasets, months=months, seed=seed)
-    meta = meta.copy()
-    meta["size_gb"] *= target_pb * 1e6 / meta["size_gb"].sum()  # scale to PB target
+    meta, logs = al.gen_enterprise_logs(
+        n_datasets=n_datasets, months=months, seed=seed, total_gb=target_pb * 1e6
+    )
     out: dict[str, float] = {"Total Size (PB)": round(meta["size_gb"].sum() / 1e6, 3)}
     for horizon, tier_names in [(2, ("hot", "cool")), (6, ("hot", "cool", "archive"))]:
-        tier_of = predicted_tier_policy(
-            meta, logs, t0=t0, horizon=horizon, tier_names=tier_names
+        clf = al.train_tier_predictor(
+            meta, logs, t0=t0, horizon=horizon, window=WINDOW,
+            tier_names=tier_names, n_estimators=40,
         )
-        cost = al.policy_cost(meta, logs, tier_of, t0=t0, horizon=horizon)
-        base = al.policy_cost(
-            meta, logs, al.baseline_all_hot(meta), t0=t0, horizon=horizon
+        tier_of = al.predict_tiers(clf, meta, logs, t0=t0, window=WINDOW)
+        out[f"{horizon} mos"] = round(
+            al.benefit_pct(meta, logs, tier_of, t0=t0, horizon=horizon), 2
         )
-        out[f"{horizon} mos"] = round(100 * (base - cost) / base, 2)
     return out
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pandas as pd
 
 from repro.experiments import table03
-from repro.ml import RandomForestClassifier
 from repro.workload import access_logs as al
 
 #: Paper Table IV.
@@ -32,64 +31,43 @@ PAPER = pd.DataFrame(
 )
 
 
-def _benefit(meta, logs, tier_of, *, t0, horizon) -> float:
-    base = al.policy_cost(meta, logs, al.baseline_all_hot(meta), t0=t0, horizon=horizon)
-    cost = al.policy_cost(meta, logs, tier_of, t0=t0, horizon=horizon)
-    return 100 * (base - cost) / base
-
-
-def _predicted_tiers(meta, logs, clf, *, t0: int, window: int) -> pd.Series:
-    f = al.feature_frame(meta, logs, t0=t0, window=window)
-    f = f[f["age_months"] >= 1]  # new data handled separately (§IV-A)
-    pred = clf.predict(f[al.FEATURE_COLS(window)].to_numpy(dtype=float))
-    return pd.Series(pred, index=f["dataset_id"].to_numpy())
-
-
 def run(*, seed: int = 7, months: int = 24, t0: int = 18, window: int = 4) -> pd.DataFrame:
     """All ten rows. The RF classifier is trained out-of-time per horizon
     (labels depend on the projection duration, as in §IV-C)."""
     meta, logs = al.gen_enterprise_logs(
-        n_datasets=table03.N_DATASETS, months=months, seed=seed
+        n_datasets=table03.N_DATASETS, months=months, seed=seed,
+        total_gb=table03.TARGET_TB * 1e3,
     )
-    meta = meta.copy()
-    meta["size_gb"] *= table03.TARGET_TB * 1e3 / meta["size_gb"].sum()
 
     def known_tiers(horizon, tier_names=("hot", "cool")):
         a = al.ideal_tiers(meta, logs, t0=t0, horizon=horizon, tier_names=tier_names)
         return a.set_index("pid")["tier"]
 
     def predicted_tiers(horizon):
-        t0s = list(range(window + 1, t0 - horizon))
-        X, y = table03._training_table(
-            meta, logs, t0s=t0s, horizon=horizon, window=window
-        )
-        clf = RandomForestClassifier(n_estimators=50, max_depth=12, random_state=0).fit(X, y)
-        return _predicted_tiers(meta, logs, clf, t0=t0, window=window)
+        clf = al.train_tier_predictor(meta, logs, t0=t0, horizon=horizon, window=window)
+        return al.predict_tiers(clf, meta, logs, t0=t0, window=window)
 
     rows = [
-        ("All hot", "N/A", 2, _benefit(meta, logs, al.baseline_all_hot(meta), t0=t0, horizon=2)),
-        (
-            '"Hot" if data accessed in last 2 mos', "N/A", 4,
-            _benefit(meta, logs, al.baseline_recency(meta, logs, t0=t0, lookback=2), t0=t0, horizon=4),
-        ),
-        (
-            '"Hot" if data accessed in last 1 mo', "N/A", 4,
-            _benefit(meta, logs, al.baseline_recency(meta, logs, t0=t0, lookback=1), t0=t0, horizon=4),
-        ),
-        (
-            "Use optimal tier of prev. month", "N/A", 2,
-            _benefit(meta, logs, al.baseline_prev_month_optimal(meta, logs, t0=t0), t0=t0, horizon=2),
-        ),
-        ("OptAssign (Hot, Cool)", "Predicted", 2, _benefit(meta, logs, predicted_tiers(2), t0=t0, horizon=2)),
-        ("OptAssign (Hot, Cool)", "Predicted", 4, _benefit(meta, logs, predicted_tiers(4), t0=t0, horizon=4)),
-        ("OptAssign (Hot, Cool)", "Known", 2, _benefit(meta, logs, known_tiers(2), t0=t0, horizon=2)),
-        ("OptAssign (Hot, Cool)", "Known", 4, _benefit(meta, logs, known_tiers(4), t0=t0, horizon=4)),
-        ("OptAssign (Hot, Cool)", "Known", 6, _benefit(meta, logs, known_tiers(6), t0=t0, horizon=6)),
-        (
-            "OptAssign (Hot, Cool, Archive)", "Known", 6,
-            _benefit(meta, logs, known_tiers(6, ("hot", "cool", "archive")), t0=t0, horizon=6),
-        ),
+        ("All hot", "N/A", 2, al.baseline_all_hot(meta)),
+        ('"Hot" if data accessed in last 2 mos', "N/A", 4,
+         al.baseline_recency(meta, logs, t0=t0, lookback=2)),
+        ('"Hot" if data accessed in last 1 mo', "N/A", 4,
+         al.baseline_recency(meta, logs, t0=t0, lookback=1)),
+        ("Use optimal tier of prev. month", "N/A", 2,
+         al.baseline_prev_month_optimal(meta, logs, t0=t0)),
+        ("OptAssign (Hot, Cool)", "Predicted", 2, predicted_tiers(2)),
+        ("OptAssign (Hot, Cool)", "Predicted", 4, predicted_tiers(4)),
+        ("OptAssign (Hot, Cool)", "Known", 2, known_tiers(2)),
+        ("OptAssign (Hot, Cool)", "Known", 4, known_tiers(4)),
+        ("OptAssign (Hot, Cool)", "Known", 6, known_tiers(6)),
+        ("OptAssign (Hot, Cool, Archive)", "Known", 6, known_tiers(6, ("hot", "cool", "archive"))),
     ]
-    out = pd.DataFrame(rows, columns=PAPER.columns)
+    out = pd.DataFrame(
+        [
+            (model, info, hz, al.benefit_pct(meta, logs, tier_of, t0=t0, horizon=hz))
+            for model, info, hz, tier_of in rows
+        ],
+        columns=PAPER.columns,
+    )
     out["Benefit %"] = out["Benefit %"].round(3)
     return out

@@ -25,7 +25,7 @@ PAPER = pd.DataFrame(
 SCHEMES = {"gzip": "csv+gzip", "parquet + gzip": "parquet+gzip"}
 
 
-def run(
+def build_datasets(
     *,
     sf_large: float = 0.05,
     sf_skew: float = 0.02,
@@ -34,29 +34,37 @@ def run(
     max_rows: int = 3000,
     seed: int = 0,
     repeats: int = 2,
-    datasets: dict[str, pd.DataFrame] | None = None,
-) -> pd.DataFrame:
-    """Two blocks: larger uniform SF ('100GB' stand-in) and Zipf skew 3."""
-    if datasets is None:
-        datasets = {
-            "TPC-H 100GB": table06.build_dataset(
-                sf=sf_large, n_per_template=n_per_template, max_rows=max_rows,
-                seed=seed, repeats=repeats,
-            ),
-            "TPC-H Skew": table06.build_dataset(
-                sf=sf_skew, n_per_template=n_per_template, max_rows=max_rows,
-                seed=seed + 1, repeats=repeats, skew=skew,
-            ),
-        }
+) -> dict[str, pd.DataFrame]:
+    """The two datasets of Tables VII and VIII: a larger uniform SF ('100GB'
+    stand-in) and Zipf skew."""
+    kw = dict(n_per_template=n_per_template, max_rows=max_rows, repeats=repeats)
+    return {
+        "TPC-H 100GB": table06.build_dataset(sf=sf_large, seed=seed, **kw),
+        "TPC-H Skew": table06.build_dataset(sf=sf_skew, seed=seed + 1, skew=skew, **kw),
+    }
+
+
+def grid(datasets: dict[str, pd.DataFrame], target_prefix: str) -> pd.DataFrame:
+    """One models x :data:`SCHEMES` block per dataset, on the
+    ``{target_prefix}_{scheme}`` labels."""
     blocks = []
     for name, data in datasets.items():
-        grid = common.metrics_grid(
+        block = common.metrics_grid(
             data,
             models=cp.MODEL_FACTORIES,
             schemes=SCHEMES,
-            target_prefix="ratio",
+            target_prefix=target_prefix,
             features=cp.ENTROPY_FEATURES + ("size_mb",),
         )
-        grid.insert(0, "Dataset", name)
-        blocks.append(grid)
+        block.insert(0, "Dataset", name)
+        blocks.append(block)
     return pd.concat(blocks, ignore_index=True)
+
+
+def run(
+    *, datasets: dict[str, pd.DataFrame] | None = None, **dataset_kw
+) -> pd.DataFrame:
+    """Compression-ratio grids; ``dataset_kw`` go to :func:`build_datasets`."""
+    if datasets is None:
+        datasets = build_datasets(**dataset_kw)
+    return grid(datasets, "ratio")

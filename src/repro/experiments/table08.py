@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.core import compredict as cp
-from repro.experiments import common, table06, table07
+from repro.experiments import table07
 
 #: Paper Table VIII (subset of cells).
 PAPER = pd.DataFrame(
@@ -22,31 +21,10 @@ PAPER = pd.DataFrame(
 
 
 def run(
-    *,
-    datasets: dict[str, pd.DataFrame] | None = None,
-    **dataset_kw,
+    *, datasets: dict[str, pd.DataFrame] | None = None, **dataset_kw
 ) -> pd.DataFrame:
+    """Decompression sec/GB grids on Table VII's datasets; ``dataset_kw`` go
+    to :func:`table07.build_datasets`."""
     if datasets is None:
-        kw = dict(
-            sf_large=dataset_kw.pop("sf_large", 0.05),
-            sf_skew=dataset_kw.pop("sf_skew", 0.02),
-            skew=dataset_kw.pop("skew", 3.0),
-        )
-        datasets = {
-            "TPC-H 100GB": table06.build_dataset(sf=kw["sf_large"], **dataset_kw),
-            "TPC-H Skew": table06.build_dataset(
-                sf=kw["sf_skew"], skew=kw["skew"], **dataset_kw
-            ),
-        }
-    blocks = []
-    for name, data in datasets.items():
-        grid = common.metrics_grid(
-            data,
-            models=cp.MODEL_FACTORIES,
-            schemes=table07.SCHEMES,
-            target_prefix="dsec",
-            features=cp.ENTROPY_FEATURES + ("size_mb",),
-        )
-        grid.insert(0, "Dataset", name)
-        blocks.append(grid)
-    return pd.concat(blocks, ignore_index=True)
+        datasets = table07.build_datasets(**dataset_kw)
+    return table07.grid(datasets, "dsec")

@@ -8,9 +8,11 @@ reproduces exactly these families with a Zipf popularity scale, which is
 all the tiering experiments depend on (DESIGN.md substitution #6).
 
 The generator emits monthly read/write counts per dataset directly. Also
-provides the access-predictor machinery of §IV-C: feature extraction (size,
-age, last-W-months reads/writes), ideal-tier labelling via OPTASSIGN with
-known future accesses, and the intuitive baselines of Table IV.
+provides the access predictor of §IV-C that Tables II–IV share: feature
+extraction (size, age, last-W-months reads/writes), ideal-tier labelling via
+OPTASSIGN with known future accesses, the out-of-time Random Forest trained
+on those labels, the % benefit over all-hot, and the intuitive baselines of
+Table IV.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ import pandas as pd
 
 from repro.core import cost_model as cm
 from repro.core.optassign import assign
+from repro.ml import RandomForestClassifier
 
 PATTERNS = ("inactive", "decay", "constant", "periodic", "spike")
 #: Mixture over pattern families — most datasets see few or zero accesses
@@ -28,6 +31,9 @@ PATTERNS = ("inactive", "decay", "constant", "periodic", "spike")
 #: ideal hot/cool dataset split and the 2/6-month benefit magnitudes land in
 #: the ranges of Tables II–IV.
 PATTERN_PROBS = (0.35, 0.20, 0.30, 0.10, 0.05)
+#: Lognormal (mu, sigma) of dataset sizes in GB: a heavy-tailed distribution
+#: whose sum over ~760 datasets lands in the paper's hundreds-of-TB regime.
+SIZE_LOGNORM = (6.0, 2.0)
 
 
 def gen_enterprise_logs(
@@ -35,7 +41,7 @@ def gen_enterprise_logs(
     n_datasets: int,
     months: int,
     seed: int = 0,
-    size_lognorm: tuple[float, float] = (6.0, 2.0),
+    total_gb: float | None = None,
 ) -> tuple[pd.DataFrame, pd.DataFrame]:
     """Returns (meta, logs).
 
@@ -43,11 +49,11 @@ def gen_enterprise_logs(
     logs: dataset_id, month, reads, writes — one row per dataset-month from
     its creation month onward.
 
-    ``size_lognorm`` defaults give a heavy-tailed GB distribution whose sum
-    over ~760 datasets lands in the paper's hundreds-of-TB regime.
+    ``total_gb`` rescales ``size_gb`` to that account total after the logs
+    are drawn, so the logs do not depend on it.
     """
     g = np.random.default_rng(seed)
-    sizes = np.exp(g.normal(*size_lognorm, n_datasets)).round(2)
+    sizes = np.exp(g.normal(*SIZE_LOGNORM, n_datasets)).round(2)
     meta = pd.DataFrame(
         {
             "dataset_id": [f"d{i:04d}" for i in range(n_datasets)],
@@ -86,6 +92,8 @@ def gen_enterprise_logs(
             rows.append(
                 {"dataset_id": r.dataset_id, "month": m, "reads": reads, "writes": writes}
             )
+    if total_gb is not None:
+        meta["size_gb"] *= total_gb / meta["size_gb"].sum()
     return meta, pd.DataFrame(rows)
 
 
@@ -112,6 +120,15 @@ def feature_frame(
         out[f"reads_m{k}"] = out["dataset_id"].map(mh["reads"]).fillna(0.0)
         out[f"writes_m{k}"] = out["dataset_id"].map(mh["writes"]).fillna(0.0)
     return out.drop(columns=["created_month"])
+
+
+def _features(
+    meta: pd.DataFrame, logs: pd.DataFrame, *, t0: int, window: int
+) -> pd.DataFrame:
+    """:func:`feature_frame` of the datasets at least one month old at t0;
+    newer data has no history and is placed as new data (§IV-A)."""
+    f = feature_frame(meta, logs, t0=t0, window=window)
+    return f[f["age_months"] >= 1]
 
 
 FEATURE_COLS = lambda window=4: ["size_gb", "age_months"] + [  # noqa: E731
@@ -150,6 +167,51 @@ def ideal_tiers(
     return assign(parts, None, tiers, months=horizon)
 
 
+def train_tier_predictor(
+    meta: pd.DataFrame,
+    logs: pd.DataFrame,
+    *,
+    t0: int,
+    horizon: int,
+    window: int,
+    tier_names: tuple[str, ...] = ("hot", "cool"),
+    n_estimators: int = 50,
+) -> RandomForestClassifier:
+    """The §IV-C access predictor: a Random Forest from features to the
+    ideal tier, trained out of time for predictions at ``t0``.
+
+    Every month t in [window + 1, t0 − horizon] is one training snapshot:
+    features from months [t − window, t), labels from OPTASSIGN on the
+    reads of months [t, t + horizon). So no label reads a month at or after
+    ``t0``.
+    """
+    cols = FEATURE_COLS(window)
+    Xs, ys = [], []
+    for t in range(window + 1, t0 - horizon + 1):
+        f = _features(meta, logs, t0=t, window=window)
+        labels = ideal_tiers(meta, logs, t0=t, horizon=horizon, tier_names=tier_names)
+        Xs.append(f[cols].to_numpy(dtype=float))
+        ys.append(f["dataset_id"].map(labels.set_index("pid")["tier"]).to_numpy())
+    return RandomForestClassifier(
+        n_estimators=n_estimators, max_depth=12, random_state=0
+    ).fit(np.vstack(Xs), np.concatenate(ys))
+
+
+def predict_tiers(
+    clf: RandomForestClassifier,
+    meta: pd.DataFrame,
+    logs: pd.DataFrame,
+    *,
+    t0: int,
+    window: int,
+) -> pd.Series:
+    """Predicted tier per dataset id at ``t0``, for datasets at least one
+    month old."""
+    f = _features(meta, logs, t0=t0, window=window)
+    pred = clf.predict(f[FEATURE_COLS(window)].to_numpy(dtype=float))
+    return pd.Series(pred, index=f["dataset_id"].to_numpy())
+
+
 def policy_cost(
     meta: pd.DataFrame,
     logs: pd.DataFrame,
@@ -175,6 +237,21 @@ def policy_cost(
         delta=tier.map(lambda t: cm.tier_change_cost(current_tier, t)),
     )
     return float(cost.total.sum())
+
+
+def benefit_pct(
+    meta: pd.DataFrame,
+    logs: pd.DataFrame,
+    tier_of: pd.Series,
+    *,
+    t0: int,
+    horizon: int,
+) -> float:
+    """% saving of ``tier_of`` over keeping every dataset hot, both scored
+    on the actual accesses (Tables II and IV)."""
+    base = policy_cost(meta, logs, baseline_all_hot(meta), t0=t0, horizon=horizon)
+    cost = policy_cost(meta, logs, tier_of, t0=t0, horizon=horizon)
+    return 100 * (base - cost) / base
 
 
 def baseline_all_hot(meta: pd.DataFrame) -> pd.Series:

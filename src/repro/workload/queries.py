@@ -175,58 +175,55 @@ TPCH_TEMPLATES: list[tuple[str, str, str, str, dict]] = [
 ]
 
 
+def _date_window(
+    dates: pd.Series, days: int, g: np.random.Generator
+) -> tuple[pd.Timestamp, pd.Timestamp]:
+    """One draw of a ``days``-long window [lo, hi) over ``dates``' range.
+
+    Real analytic workloads quantise ranges to calendar units (whole months /
+    quarters / years), so query families of one template tile the timeline
+    disjointly and families across templates nest when window lengths divide
+    — the structure G-PART's merging exploits (§VI). Starts snap to multiples
+    of the window (tumbling windows).
+    """
+    lo_all, hi_all = dates.min(), dates.max()
+    span_days = max(1, (hi_all - lo_all).days)
+    window = min(days, span_days)
+    n_slots = max(1, span_days // window)
+    lo = lo_all + pd.Timedelta(days=int(g.integers(0, n_slots)) * window)
+    return lo, lo + pd.Timedelta(days=window)
+
+
+def _key_window(keys: pd.Series, frac: float, g: np.random.Generator) -> tuple[int, int]:
+    """One draw of a tumbling key window [lo, hi] covering ``frac`` of the
+    key domain — same family-structure rationale as :func:`_date_window`."""
+    lo_all, hi_all = int(keys.min()), int(keys.max())
+    width = max(1, int((hi_all - lo_all + 1) * frac))
+    n_slots = max(1, (hi_all - lo_all + 1) // width)
+    lo = lo_all + int(g.integers(0, n_slots)) * width
+    return lo, min(lo + width - 1, hi_all)
+
+
 def _instantiate(
     tf: TableFiles, name: str, kind: str, col: str, extra: dict,
     g: np.random.Generator, qid: str,
 ) -> Query:
     pdf = tf.pdf
-    if kind == "date_range":
-        lo_all, hi_all = pdf[col].min(), pdf[col].max()
-        span_days = max(1, (hi_all - lo_all).days)
-        window = min(extra["days"], span_days)
-        # Real analytic workloads quantise ranges to calendar units (whole
-        # months / quarters / years), so query families of one template tile
-        # the timeline disjointly and families across templates nest when
-        # window lengths divide — the structure G-PART's merging exploits
-        # (§VI). Starts snap to multiples of the window (tumbling windows).
-        n_slots = max(1, span_days // window)
-        start_off = int(g.integers(0, n_slots)) * window
-        lo = lo_all + pd.Timedelta(days=start_off)
-        hi = lo + pd.Timedelta(days=window)
+    if kind in ("date_range", "date_key"):
+        lo, hi = _date_window(pdf[col], extra["days"], g)
         where = (
             f"{col} >= TIMESTAMP '{lo:%Y-%m-%d %H:%M:%S}' "
             f"AND {col} < TIMESTAMP '{hi:%Y-%m-%d %H:%M:%S}'"
         )
         files = _overlapping_files(tf, col, lo, hi - pd.Timedelta(seconds=1))
+        if kind == "date_key":
+            # Drawn after the date window: that order fixes the seeded workload.
+            k_lo, k_hi = _key_window(pdf[extra["key"]], extra["frac"], g)
+            where += f" AND {extra['key']} BETWEEN {k_lo} AND {k_hi}"
     elif kind == "key_range":
-        lo_all, hi_all = int(pdf[col].min()), int(pdf[col].max())
-        width = max(1, int((hi_all - lo_all + 1) * extra["frac"]))
-        # Tumbling key windows (quantised starts) — same family-structure
-        # rationale as the date grid above.
-        n_slots = max(1, (hi_all - lo_all + 1) // width)
-        lo = lo_all + int(g.integers(0, n_slots)) * width
-        hi = min(lo + width - 1, hi_all)
+        lo, hi = _key_window(pdf[col], extra["frac"], g)
         where = f"{col} BETWEEN {lo} AND {hi}"
         files = _overlapping_files(tf, col, lo, hi)
-    elif kind == "date_key":
-        lo_all, hi_all = pdf[col].min(), pdf[col].max()
-        span_days = max(1, (hi_all - lo_all).days)
-        window = min(extra["days"], span_days)
-        n_slots = max(1, span_days // window)
-        start_off = int(g.integers(0, n_slots)) * window
-        lo = lo_all + pd.Timedelta(days=start_off)
-        hi = lo + pd.Timedelta(days=window)
-        kcol = extra["key"]
-        k_lo_all, k_hi_all = int(pdf[kcol].min()), int(pdf[kcol].max())
-        k_width = max(1, int((k_hi_all - k_lo_all + 1) * extra["frac"]))
-        k_slots = max(1, (k_hi_all - k_lo_all + 1) // k_width)
-        k_lo = k_lo_all + int(g.integers(0, k_slots)) * k_width
-        where = (
-            f"{col} >= TIMESTAMP '{lo:%Y-%m-%d %H:%M:%S}' "
-            f"AND {col} < TIMESTAMP '{hi:%Y-%m-%d %H:%M:%S}' "
-            f"AND {kcol} BETWEEN {k_lo} AND {min(k_lo + k_width - 1, k_hi_all)}"
-        )
-        files = _overlapping_files(tf, col, lo, hi - pd.Timedelta(seconds=1))
     elif kind == "cat_eq":
         val = str(g.choice(pdf[col].unique()))
         where = f"{col} = '{val}'"

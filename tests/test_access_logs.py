@@ -25,6 +25,16 @@ class TestGenerator:
         pd.testing.assert_frame_equal(a[0], b[0])
         pd.testing.assert_frame_equal(a[1], b[1])
 
+    def test_total_gb_rescales_sizes_only(self):
+        plain_meta, plain_logs = al.gen_enterprise_logs(n_datasets=30, months=12, seed=5)
+        meta, logs = al.gen_enterprise_logs(
+            n_datasets=30, months=12, seed=5, total_gb=1234.5
+        )
+        assert meta["size_gb"].sum() == pytest.approx(1234.5, rel=1e-12)
+        pd.testing.assert_frame_equal(logs, plain_logs)
+        cols = ["dataset_id", "created_month", "pattern"]
+        pd.testing.assert_frame_equal(meta[cols], plain_meta[cols])
+
     def test_logs_start_at_creation(self, sim):
         meta, logs = sim
         first = logs.groupby("dataset_id")["month"].min()
@@ -116,6 +126,34 @@ class TestFeaturesAndLabels:
         out = al.ideal_tiers(meta, logs, t0=5, horizon=2)
         created = meta.set_index("dataset_id")["created_month"]
         assert (created.reindex(out["pid"]) <= 5).all()
+
+
+class TestPredictor:
+    T0, HORIZON, WINDOW = 16, 2, 4
+
+    def _predict(self, meta, logs):
+        clf = al.train_tier_predictor(
+            meta, logs, t0=self.T0, horizon=self.HORIZON, window=self.WINDOW,
+            n_estimators=10,
+        )
+        return al.predict_tiers(clf, meta, logs, t0=self.T0, window=self.WINDOW)
+
+    def test_no_label_reads_past_t0(self, sim):
+        """Out of time: reads at months >= t0 cannot change the predictions."""
+        meta, logs = sim
+        future = logs.copy()
+        future.loc[future["month"] >= self.T0, "reads"] = 10**6
+        pd.testing.assert_series_equal(
+            self._predict(meta, logs), self._predict(meta, future)
+        )
+
+    def test_predicts_datasets_older_than_one_month(self, sim):
+        meta, logs = sim
+        pred = self._predict(meta, logs)
+        created = meta.set_index("dataset_id")["created_month"]
+        assert (created == self.T0).any() and (created > self.T0).any()
+        assert sorted(pred.index) == sorted(created.index[created < self.T0])
+        assert set(pred) <= {"hot", "cool"}
 
 
 class TestPoliciesAndCosts:

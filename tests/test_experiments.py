@@ -1,9 +1,12 @@
 """Per-table experiment harnesses at reduced scale: shapes and the paper's
 qualitative orderings (full-scale numbers live in benchmarks/ + EXPERIMENTS.md)."""
+import inspect
+
 import pandas as pd
 import pytest
 
 from repro.experiments import (
+    common,
     table02,
     table03,
     table04,
@@ -165,6 +168,26 @@ class TestTables06to08:
             out.loc[("TPC-H 100GB", "Random Forest"), "gzip MAE"]
             < out.loc[("TPC-H 100GB", "Averaging"), "gzip MAE"]
         )
+
+
+    def test_tables07_08_request_the_same_datasets(self, monkeypatch):
+        """Table VIII reports on exactly the datasets Table VII builds."""
+        sig = inspect.signature(table06.build_dataset)
+        calls = []
+
+        def record(**kw):
+            bound = sig.bind(**kw)
+            bound.apply_defaults()
+            calls.append(bound.arguments)
+            return pd.DataFrame()
+
+        monkeypatch.setattr(table06, "build_dataset", record)
+        monkeypatch.setattr(common, "metrics_grid", lambda *a, **kw: pd.DataFrame({"Model": ["m"]}))
+        table07.run()
+        from_07, calls[:] = list(calls), []
+        table08.run()
+        assert len(from_07) == 2
+        assert calls == from_07
 
 
 class TestPipelineTablesSmall:
