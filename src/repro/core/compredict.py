@@ -77,14 +77,19 @@ def weighted_entropy_pandas(pdf: pd.DataFrame) -> dict[str, float]:
 # --------------------------------------------------------------------------
 # Samples
 # --------------------------------------------------------------------------
+#: Smallest share of the table a random row sample draws.
+MIN_SAMPLE_FRAC = 0.02
+
+
 def random_row_samples(
-    pdf: pd.DataFrame, *, n_samples: int, seed: int = 0, min_frac: float = 0.02
+    pdf: pd.DataFrame, *, n_samples: int, seed: int = 0
 ) -> list[pd.DataFrame]:
-    """The baseline the paper criticises: uniformly random row subsets."""
+    """The baseline the paper criticises: uniformly random row subsets, each
+    a fraction of ``pdf`` drawn from [``MIN_SAMPLE_FRAC``, 1)."""
     g = np.random.default_rng(seed)
     out = []
     for _ in range(n_samples):
-        frac = g.uniform(min_frac, 1.0)
+        frac = g.uniform(MIN_SAMPLE_FRAC, 1.0)
         n = max(1, int(len(pdf) * frac))
         out.append(pdf.iloc[g.choice(len(pdf), size=n, replace=False)].reset_index(drop=True))
     return out
@@ -141,19 +146,23 @@ MODEL_FACTORIES: dict[str, Callable[[], object]] = {
 }
 
 
+#: Share of the dataset ``train_eval`` holds out for testing.
+TEST_FRAC = 0.3
+
+
 def train_eval(
     dataset: pd.DataFrame,
     *,
     target: str,
     features: tuple[str, ...],
     model_factory: Callable[[], object],
-    test_frac: float = 0.3,
     seed: int = 0,
 ) -> dict[str, float]:
-    """Shuffled train/test split, fit, and the paper's metrics (MAE/MAPE/R²)."""
+    """Shuffled train/test split (``TEST_FRAC`` held out), fit, and the
+    paper's metrics (MAE/MAPE/R²)."""
     g = np.random.default_rng(seed)
     idx = g.permutation(len(dataset))
-    n_test = max(1, int(len(dataset) * test_frac))
+    n_test = max(1, int(len(dataset) * TEST_FRAC))
     test, train = idx[:n_test], idx[n_test:]
     X = dataset[list(features)].to_numpy(dtype=float)
     y = dataset[target].to_numpy(dtype=float)

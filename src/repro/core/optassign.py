@@ -39,7 +39,6 @@ def candidate_frame_numpy(
     *,
     months: float,
     weights: cm.CostWeights = cm.CostWeights(),
-    enforce_archive_residency: bool = True,
 ) -> pd.DataFrame:
     """The feasible candidate relation with the ILP objective per row.
 
@@ -100,7 +99,7 @@ def candidate_frame_numpy(
     # Constraint 3: D + B_l <= T(P); existing partitions keep their scheme.
     ok = cand["decomp_latency"] + cand["read_latency"] <= cand["latency_threshold"]
     ok &= cand["fixed_scheme"].isna() | (cand["scheme"] == cand["fixed_scheme"])
-    if enforce_archive_residency and months < cm.ARCHIVE_MIN_MONTHS:
+    if months < cm.ARCHIVE_MIN_MONTHS:
         ok &= cand["tier"] != "archive"
     return cand[ok].reset_index(drop=True)
 
@@ -135,17 +134,11 @@ def assign(
     *,
     months: float,
     weights: cm.CostWeights = cm.CostWeights(),
-    enforce_archive_residency: bool = True,
 ) -> pd.DataFrame:
     """OPTASSIGN: greedy per partition plus capacity repair (see the module
     docstring); arguments as for :func:`candidate_frame_numpy`."""
     cand = candidate_frame_numpy(
-        partitions,
-        predictions,
-        tiers,
-        months=months,
-        weights=weights,
-        enforce_archive_residency=enforce_archive_residency,
+        partitions, predictions, tiers, months=months, weights=weights
     )
     return assign_candidates(cand, partitions["pid"], tiers)
 

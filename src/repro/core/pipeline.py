@@ -4,21 +4,10 @@ Pipeline: query log → initial partitions (query families) → G-PART merge →
 COMPREDICT (or ground-truth) compression performance per final partition →
 OPTASSIGN tier + scheme assignment → tiered writes.
 
-Eleven policies (rows of Tables IX–XI), each a configuration of the same
-machinery — see DESIGN.md §5 for the mapping to the paper's baselines
-(Ares / Hermes / HCompress adaptations):
-
-1.  Default (store on premium)          — no P, no T, no C
-2.  Compress & store on premium (Ares)  — C only
-3.  Multi-Tiering (Hermes)              — T only, capacity-constrained
-4.  Latency time focused (HCompress)    — T + C, minimise expected latency
-5.  Partition & store on premium        — P only
-6.  Partitioning + Tiering              — P + T
-7.  Partitioning + Compression          — P + C
-8.  SCOPe (Latency time focused)        — P + T + C, latency objective
-9.  SCOPe (No capacity constraint)      — P + T + C, greedy (Theorem 3)
-10. SCOPe (Read+Decomp cost focused)    — P + T + C, α = 0 (capacity on)
-11. SCOPe (Total cost focused)          — P + T + C, α=β=γ=1 (capacity on)
+The eleven policies (rows of Tables IX–XI) are the rows of :data:`POLICIES`:
+each switches partitioning, tiering, compression and Table XII's capacities
+on or off and picks an objective. DESIGN.md §5 maps them to the paper's
+baselines (Ares / Hermes / HCompress adaptations).
 
 Cost semantics: every partition is newly placed (L(P) = -1), so the γ term
 is the initial write; it is folded into the reported storage column.
@@ -42,6 +31,9 @@ from repro.workload.queries import Query, TableFiles, workload_fileparts
 #: Scheme set used in the pipeline experiments (parquet is the lake format;
 #: csv+gzip represents the row-store option).
 PIPELINE_SCHEMES = ("parquet+gzip", "parquet+snappy", "parquet+lz4", "csv+gzip")
+#: Tiers of Tables IX–XI, hottest first: Archive is out of play at the
+#: 5.5-month horizon (its minimum residency is longer).
+GRID_TIERS = ("premium", "hot", "cool")
 
 
 @dataclass
@@ -59,43 +51,39 @@ class PipelinePartition:
 # --------------------------------------------------------------------------
 # Partition construction
 # --------------------------------------------------------------------------
-def _partition_rows(tf: TableFiles, file_ids: set[str], *, max_rows: int) -> pd.DataFrame:
-    """Materialise (a row-sample of) a partition from its file row-ranges.
+def _partition(
+    pid: str, tf: TableFiles, files, *, span_gb: float, rho: float, max_rows: int
+) -> PipelinePartition:
+    """A partition of ``tf``'s table over ``files``, with a row sample of
+    them for codec measurement.
 
-    Ratios and sec/GB are intensive, so a contiguous sample preserves them;
-    ``max_rows`` bounds the codec-measurement cost at large SF.
+    The sample holds the rows of the files that are ``tf``'s own (a G-PART
+    partition may hold files of another table). Ratios and sec/GB are
+    intensive, so a contiguous sample preserves them; ``max_rows`` bounds
+    the codec-measurement cost at large SF.
     """
     by_id = {f.file_id: f for f in tf.files}
-    blocks = [tf.pdf.iloc[by_id[i].row_lo : by_id[i].row_hi] for i in sorted(file_ids)]
+    blocks = [tf.pdf.iloc[by_id[i].row_lo : by_id[i].row_hi]
+              for i in sorted(files) if i in by_id]
     rows = pd.concat(blocks, ignore_index=True) if blocks else tf.pdf.iloc[:0]
     if len(rows) > max_rows:
         step = len(rows) / max_rows
         idx = (np.arange(max_rows) * step).astype(int)
         rows = rows.iloc[idx].reset_index(drop=True)
-    return rows
+    return PipelinePartition(pid=pid, table=tf.table, files=tuple(sorted(files)),
+                             span_gb=span_gb, rho=rho, sample=rows)
 
 
 def unpartitioned(
     tables: dict[str, TableFiles], queries: list[Query], *, max_rows: int = 20_000
 ) -> list[PipelinePartition]:
     """One partition per table; every query on the table scans all of it."""
-    out = []
-    for name in sorted(tables):
-        tf = tables[name]
-        rho = float(sum(1 for q in queries if q.table == name))
-        out.append(
-            PipelinePartition(
-                pid=name,
-                table=name,
-                files=tuple(f.file_id for f in tf.files),
-                span_gb=tf.size_gb,
-                rho=rho,
-                sample=_partition_rows(
-                    tf, {f.file_id for f in tf.files}, max_rows=max_rows
-                ),
-            )
-        )
-    return out
+    return [
+        _partition(name, tf, [f.file_id for f in tf.files], span_gb=tf.size_gb,
+                   rho=float(sum(1 for q in queries if q.table == name)),
+                   max_rows=max_rows)
+        for name, tf in sorted(tables.items())
+    ]
 
 
 def gpart_partitions(
@@ -128,36 +116,18 @@ def gpart_partitions(
         rho_c=rho_c,
         rho_abs=rho_abs,
     )
-    out = []
-    for i, m in enumerate(merged):
-        tbl = file_table[next(iter(m.files))]
-        tf = tables[tbl]
-        own = {f for f in m.files if file_table[f] == tbl}
-        out.append(
-            PipelinePartition(
-                pid=f"p{i:03d}",
-                table=tbl,
-                files=tuple(sorted(m.files)),
-                span_gb=m.span,
-                rho=m.rho,
-                sample=_partition_rows(tf, own, max_rows=max_rows),
-            )
-        )
+    out = [
+        _partition(f"p{i:03d}", tables[file_table[next(iter(m.files))]], m.files,
+                   span_gb=m.span, rho=m.rho, max_rows=max_rows)
+        for i, m in enumerate(merged)
+    ]
     covered = set().union(*(set(p.files) for p in out)) if out else set()
     for name in sorted(tables):
-        tf = tables[name]
-        rest = {f.file_id for f in tf.files} - covered
+        rest = {f.file_id for f in tables[name].files} - covered
         if rest:
-            out.append(
-                PipelinePartition(
-                    pid=f"rest_{name}",
-                    table=name,
-                    files=tuple(sorted(rest)),
-                    span_gb=sum(file_sizes[f] for f in rest),
-                    rho=0.0,
-                    sample=_partition_rows(tf, rest, max_rows=max_rows),
-                )
-            )
+            out.append(_partition(
+                f"rest_{name}", tables[name], rest,
+                span_gb=sum(file_sizes[f] for f in rest), rho=0.0, max_rows=max_rows))
     return out
 
 
@@ -200,15 +170,57 @@ def partitions_frame(partitions: list[PipelinePartition]) -> pd.DataFrame:
 # --------------------------------------------------------------------------
 # Policy execution
 # --------------------------------------------------------------------------
-@dataclass
-class PolicyResult:
-    """One row of Tables IX–XI."""
+@dataclass(frozen=True)
+class Policy:
+    """One row of Tables IX–XI: which parts of SCOPe are switched on.
 
-    policy: str
-    closest_baseline: str
+    ``partitioned`` runs on G-PART's partitions instead of whole tables,
+    ``tiered`` chooses among ``GRID_TIERS`` instead of premium alone,
+    ``compressed`` offers the measured schemes, and ``capacity`` bounds the
+    tiers by Table XII's fractions of the total volume (the coolest tier in
+    play stays unbounded). ``objective`` is ``"total"`` (α = β = γ = 1),
+    ``"read"`` (read + decompression cost: α = γ = 0, β = 1) or
+    ``"latency"`` (expected TTFB + decompression time per access).
+    """
+
+    key: str
+    name: str
+    baseline: str
     partitioned: bool
     tiered: bool
     compressed: bool
+    capacity: bool = False
+    objective: str = "total"
+
+
+#: The policy grid of Tables IX–XI, in the paper's row order.
+POLICIES = (
+    Policy("default", "Default (store on premium)", "-", False, False, False),
+    Policy("ares", "Compress & store on premium", "Ares", False, False, True),
+    Policy("hermes", "Multi-Tiering", "Hermes", False, True, False, capacity=True),
+    Policy("hcompress", "Latency time focused", "HCompress", False, True, True,
+           capacity=True, objective="latency"),
+    Policy("part_premium", "Partition & store on premium", "-", True, False, False),
+    Policy("part_tier", "Partitioning + Tiering", "Hermes + G-PART", True, True, False,
+           capacity=True),
+    Policy("part_comp", "Partitioning + Compression", "Ares + G-PART", True, False, True),
+    Policy("scope_latency", "SCOPe (Latency time focused)", "HCompress + G-PART",
+           True, True, True, capacity=True, objective="latency"),
+    Policy("scope_nocap", "SCOPe (No capacity constraint)", "-", True, True, True),
+    Policy("scope_read", "SCOPe (Read+Decomp. cost focused)", "-", True, True, True,
+           capacity=True, objective="read"),
+    Policy("scope_total", "SCOPe (Total cost focused)", "-", True, True, True,
+           capacity=True),
+)
+
+
+@dataclass
+class PolicyResult:
+    """One row of Tables IX–XI: the policy, its costs and the assignment of
+    ``partitions`` (the list the policy ran on, not a copy)."""
+
+    policy: Policy
+    partitions: list[PipelinePartition]
     storage_cost: float
     decomp_cost: float
     read_cost: float
@@ -220,11 +232,11 @@ class PolicyResult:
 
     def row(self) -> dict:
         return {
-            "Policy": self.policy,
-            "Baseline": self.closest_baseline,
-            "P": "Y" if self.partitioned else "-",
-            "T": "Y" if self.tiered else "-",
-            "C": "Y" if self.compressed else "-",
+            "Policy": self.policy.name,
+            "Baseline": self.policy.baseline,
+            "P": "Y" if self.policy.partitioned else "-",
+            "T": "Y" if self.policy.tiered else "-",
+            "C": "Y" if self.policy.compressed else "-",
             "Storage": round(self.storage_cost, 1),
             "Decomp": round(self.decomp_cost, 2),
             "Read": round(self.read_cost, 2),
@@ -246,30 +258,31 @@ def _latency_objective(cand: pd.DataFrame) -> pd.DataFrame:
 
 
 def run_policy(
-    *,
-    name: str,
-    baseline: str,
+    policy: Policy,
     partitions: list[PipelinePartition],
     predictions: pd.DataFrame | None,
-    tier_names: tuple[str, ...],
+    *,
     months: float,
-    weights: cm.CostWeights = cm.CostWeights(),
-    capacity_total_gb: float | None = None,
-    latency_focused: bool = False,
-    partitioned: bool = False,
+    total_gb: float,
 ) -> PolicyResult:
-    """Run OPTASSIGN under one policy configuration and tally the table row."""
+    """Run OPTASSIGN on ``partitions`` under ``policy`` and tally its table
+    row. ``predictions`` is used only when the policy compresses, and
+    ``total_gb`` only when it bounds the tiers' capacities."""
     pframe = partitions_frame(partitions)
-    tiers = [t for t in cm.make_tiers(total_gb=capacity_total_gb) if t.name in tier_names]
-    if capacity_total_gb is not None and tiers:
+    names = GRID_TIERS if policy.tiered else GRID_TIERS[:1]
+    tiers = cm.make_tiers(names, total_gb=total_gb if policy.capacity else None)
+    if policy.capacity:
         # The paper's model keeps the last (coolest) layer unbounded
         # (S_{L-1} = inf, §IV-A); with Archive excluded at 5.5 months that
         # role falls to the coolest tier in play.
         tiers[-1] = replace(tiers[-1], capacity_gb=float("inf"))
+    weights = (cm.CostWeights(alpha=0.0, beta=1.0, gamma=0.0)
+               if policy.objective == "read" else cm.CostWeights())
     cand = candidate_frame_numpy(
-        pframe, predictions, tiers, months=months, weights=weights
+        pframe, predictions if policy.compressed else None, tiers,
+        months=months, weights=weights,
     )
-    if latency_focused:
+    if policy.objective == "latency":
         cand = _latency_objective(cand)
     chosen = assign_candidates(cand, pframe["pid"], tiers)
     cols = ["pid", "tier", "scheme", "stored_gb", "storage_cost", "transfer_cost",
@@ -277,13 +290,10 @@ def run_policy(
     a = chosen[cols].merge(pframe, on="pid")
     rho = a["accesses"].to_numpy()
     rho_sum = max(rho.sum(), 1e-12)
-    tier_counts = [int((a["tier"] == t).sum()) for t in ("premium", "hot", "cool")]
+    tier_counts = [int((a["tier"] == t).sum()) for t in GRID_TIERS]
     return PolicyResult(
-        policy=name,
-        closest_baseline=baseline,
-        partitioned=partitioned,
-        tiered=len(tier_names) > 1,
-        compressed=predictions is not None,
+        policy=policy,
+        partitions=partitions,
         storage_cost=float(a["storage_cost"].sum() + a["transfer_cost"].sum()),
         decomp_cost=float(a["decomp_cost"].sum()),
         read_cost=float(a["read_cost"].sum()),
@@ -308,15 +318,16 @@ def scope_policy_table(
     max_rows: int = 20_000,
     query_repeat: float = 1.0,
 ) -> tuple[pd.DataFrame, dict[str, PolicyResult]]:
-    """Produce all 11 rows of a Table IX/X/XI instance.
+    """Produce the rows of :data:`POLICIES` for one Table IX/X/XI instance.
 
-    Returns (display frame, per-policy results). Archive is excluded — the
+    Returns (display frame, results by policy key). Archive is excluded — the
     5.5-month horizon is below its minimum residency (§VII).
     ``query_repeat`` is the projected number of executions of each logged
     query over the billing horizon (the paper's read-cost magnitudes imply
     each query family recurs many times over 5.5 months). G-PART runs with
     ``gpart_partitions``' default ρ thresholds, and every partition is
-    measured once in each of ``PIPELINE_SCHEMES``.
+    measured once in each of ``PIPELINE_SCHEMES``. The partitioned policies
+    share one partition list, and so do the others.
     """
     whole = unpartitioned(tables, queries, max_rows=max_rows)
     parted = gpart_partitions(
@@ -324,49 +335,12 @@ def scope_policy_table(
     )
     for p in (*whole, *parted):
         p.rho *= query_repeat
-    preds_whole = measure_partitions(whole)
-    preds_parted = measure_partitions(parted)
+    inputs = {False: (whole, measure_partitions(whole)),
+              True: (parted, measure_partitions(parted))}
     total_gb = sum(tf.size_gb for tf in tables.values())
-    P3 = ("premium", "hot", "cool")
-    results: dict[str, PolicyResult] = {}
-
-    def add(key, **kw):
-        results[key] = run_policy(months=months, **kw)
-
-    add("default", name="Default (store on premium)", baseline="-",
-        partitions=whole, predictions=None, tier_names=("premium",),
-        partitioned=False)
-    add("ares", name="Compress & store on premium", baseline="Ares",
-        partitions=whole, predictions=preds_whole, tier_names=("premium",),
-        partitioned=False)
-    add("hermes", name="Multi-Tiering", baseline="Hermes",
-        partitions=whole, predictions=None, tier_names=P3,
-        capacity_total_gb=total_gb, partitioned=False)
-    add("hcompress", name="Latency time focused", baseline="HCompress",
-        partitions=whole, predictions=preds_whole, tier_names=P3,
-        capacity_total_gb=total_gb, latency_focused=True, partitioned=False)
-    add("part_premium", name="Partition & store on premium", baseline="-",
-        partitions=parted, predictions=None, tier_names=("premium",),
-        partitioned=True)
-    add("part_tier", name="Partitioning + Tiering", baseline="Hermes + G-PART",
-        partitions=parted, predictions=None, tier_names=P3,
-        capacity_total_gb=total_gb, partitioned=True)
-    add("part_comp", name="Partitioning + Compression", baseline="Ares + G-PART",
-        partitions=parted, predictions=preds_parted, tier_names=("premium",),
-        partitioned=True)
-    add("scope_latency", name="SCOPe (Latency time focused)",
-        baseline="HCompress + G-PART", partitions=parted,
-        predictions=preds_parted, tier_names=P3, capacity_total_gb=total_gb,
-        latency_focused=True, partitioned=True)
-    add("scope_nocap", name="SCOPe (No capacity constraint)", baseline="-",
-        partitions=parted, predictions=preds_parted, tier_names=P3,
-        partitioned=True)
-    add("scope_read", name="SCOPe (Read+Decomp. cost focused)", baseline="-",
-        partitions=parted, predictions=preds_parted, tier_names=P3,
-        capacity_total_gb=total_gb,
-        weights=cm.CostWeights(alpha=0.0, beta=1.0, gamma=0.0), partitioned=True)
-    add("scope_total", name="SCOPe (Total cost focused)", baseline="-",
-        partitions=parted, predictions=preds_parted, tier_names=P3,
-        capacity_total_gb=total_gb, partitioned=True)
+    results = {
+        p.key: run_policy(p, *inputs[p.partitioned], months=months, total_gb=total_gb)
+        for p in POLICIES
+    }
     table = pd.DataFrame([r.row() for r in results.values()])
     return table, results

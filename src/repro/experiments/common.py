@@ -66,26 +66,27 @@ def enterprise_table_files(
     }
 
 
+#: Query results with fewer rows are too small to label a codec's ratio.
+MIN_SAMPLE_ROWS = 5
+
+
 def query_samples(
     tables: dict[str, wq.TableFiles],
     queries: list[wq.Query],
     *,
     max_rows: int = 4000,
-    max_samples: int | None = None,
-    min_rows: int = 5,
 ) -> list[pd.DataFrame]:
     """Materialise query results as COMPREDICT training samples (§V: 'samples
-    used to train the model are derived from results of queries')."""
+    used to train the model are derived from results of queries'); results
+    under ``MIN_SAMPLE_ROWS`` rows are skipped."""
     out = []
     for q in queries:
         res = wq.run_query_pandas(tables[q.table].pdf, q)
-        if len(res) < min_rows:
+        if len(res) < MIN_SAMPLE_ROWS:
             continue
         if len(res) > max_rows:
             res = res.iloc[:max_rows].reset_index(drop=True)
         out.append(res)
-        if max_samples is not None and len(out) >= max_samples:
-            break
     return out
 
 

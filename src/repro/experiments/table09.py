@@ -12,12 +12,6 @@ from repro.core.pipeline import scope_policy_table
 from repro.experiments import common
 from repro.workload import queries as wq
 
-#: G-PART span cap (fraction of the total volume) and codec-sample rows per
-#: partition that Table IX plans with; ``jobs/scope_pipeline.py`` rebuilds
-#: the same partitions to place them.
-S_THRESH_FRAC = 0.1
-MAX_ROWS = 8000
-
 #: Paper Table IX (policy -> storage, decomp, read, total, TTFB s,
 #: decomp-latency ms, tiering [P, H, C]).
 PAPER = pd.DataFrame(
@@ -58,9 +52,9 @@ def run(
     n_files: int = 24,
     months: float = 5.5,
     seed: int = 0,
-    max_rows: int = MAX_ROWS,
+    max_rows: int = 8000,
     query_repeat: float = 6.0,
-    s_thresh_frac: float = S_THRESH_FRAC,
+    s_thresh_frac: float = 0.1,
 ) -> tuple[pd.DataFrame, dict]:
     tables, queries = inputs(sf=sf, n_queries=n_queries, n_files=n_files, seed=seed)
     return scope_policy_table(tables, queries, months=months, max_rows=max_rows,

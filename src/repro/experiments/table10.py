@@ -29,12 +29,11 @@ PAPER = pd.DataFrame(
              "DecompLat(ms)", "Tiering"],
 )
 
-LOGICAL_GB = 100.0
-
 
 def run(
     *,
     sf: float = 0.1,
+    logical_gb: float = 100.0,
     n_per_template: int = 20,
     n_files: int = 32,
     months: float = 5.5,
@@ -43,8 +42,10 @@ def run(
     query_repeat: float = 25.0,
     s_thresh_frac: float = 0.05,
 ) -> tuple[pd.DataFrame, dict]:
+    """The policy grid on TPC-H with spans scaled to ``logical_gb``; Table XI
+    runs it at 1 TB."""
     tables = common.tpch_table_files(
-        sf=sf, logical_total_gb=LOGICAL_GB, n_files=n_files, seed=seed
+        sf=sf, logical_total_gb=logical_gb, n_files=n_files, seed=seed
     )
     queries = wq.gen_tpch_workload(tables, n_per_template=n_per_template, seed=seed)
     return scope_policy_table(tables, queries, months=months, max_rows=max_rows,

@@ -4,11 +4,11 @@ Same machinery as Table X with spans scaled to 1 TB and a finer file split
 (the paper sees more partitions at 1 TB: 212 vs 137)."""
 from __future__ import annotations
 
+import functools
+
 import pandas as pd
 
-from repro.core.pipeline import scope_policy_table
-from repro.experiments import common
-from repro.workload import queries as wq
+from repro.experiments import table10
 
 #: Paper Table XI (K = x1000 in the paper's rendering; stored flat here).
 PAPER = pd.DataFrame(
@@ -29,23 +29,5 @@ PAPER = pd.DataFrame(
              "DecompLat(ms)", "Tiering"],
 )
 
-LOGICAL_GB = 1000.0
-
-
-def run(
-    *,
-    sf: float = 0.1,
-    n_per_template: int = 20,
-    n_files: int = 48,
-    months: float = 5.5,
-    seed: int = 1,
-    max_rows: int = 8000,
-    query_repeat: float = 25.0,
-    s_thresh_frac: float = 0.05,
-) -> tuple[pd.DataFrame, dict]:
-    tables = common.tpch_table_files(
-        sf=sf, logical_total_gb=LOGICAL_GB, n_files=n_files, seed=seed
-    )
-    queries = wq.gen_tpch_workload(tables, n_per_template=n_per_template, seed=seed)
-    return scope_policy_table(tables, queries, months=months, max_rows=max_rows,
-        query_repeat=query_repeat, s_thresh_frac=s_thresh_frac)
+#: Table X's runner at 1 TB, on a finer file split and another seed.
+run = functools.partial(table10.run, logical_gb=1000.0, n_files=48, seed=1)

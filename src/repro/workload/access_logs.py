@@ -144,16 +144,15 @@ def ideal_tiers(
     horizon: int,
     tier_names: tuple[str, ...] = ("hot", "cool"),
     current_tier: str = "hot",
-    reads_override: pd.Series | None = None,
 ) -> pd.DataFrame:
-    """Ground-truth (or predicted-access) OPTASSIGN tiering, K=0.
+    """Ground-truth OPTASSIGN tiering, K=0.
 
     Per dataset, the greedy (Theorem 3 — no capacity bounds in the Data
     Lake setting) picks the tier minimising storage + read + tier-change
-    cost for the horizon. ``reads_override`` substitutes predicted access
-    counts. Returns (pid, tier, weighted_cost, ...) per dataset.
+    cost for the horizon. Returns (pid, tier, weighted_cost, ...) per
+    dataset.
     """
-    fr = reads_override if reads_override is not None else future_reads(logs, t0, horizon)
+    fr = future_reads(logs, t0, horizon)
     exists = meta[meta["created_month"] <= t0]
     parts = pd.DataFrame(
         {

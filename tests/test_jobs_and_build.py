@@ -49,6 +49,36 @@ class TestJobs:
         mod = _load(COMMANDS[name])
         assert callable(mod.main)
 
+    def test_scope_pipeline_places_the_plan(self, monkeypatch, capsys):
+        """The job writes every partition that ``scope_total`` planned, on a
+        tiny Table IX configuration."""
+        from repro.experiments import table09
+        from repro.storage import tiers
+
+        job = _load(ROOT / "jobs" / "scope_pipeline.py")
+        planned, stores = [], []
+        run = table09.run
+
+        def tiny():
+            out = run(sf=0.002, n_queries=200, n_files=10, max_rows=300)
+            planned.append(out[1]["scope_total"])
+            return out
+
+        class Recording(tiers.TieredStore):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+        monkeypatch.setattr(table09, "run", tiny)
+        monkeypatch.setattr(job, "TieredStore", Recording)
+        job.main()
+        (plan,), (store,) = planned, stores
+        assert set(plan.assignment["pid"]) <= set(store.catalog)
+        for row in plan.assignment.itertuples(index=False):
+            meta = store.catalog[row.pid]
+            assert (meta.tier, meta.scheme) == (row.tier, row.scheme)
+        assert "Tiered-write bill" in capsys.readouterr().out
+
     def test_common_show_formats(self, capsys):
         import pandas as pd
 

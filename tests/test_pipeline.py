@@ -1,5 +1,7 @@
 """The unified SCOPe pipeline: partition construction, policy grid, and the
 end-to-end tiered-write integration."""
+from dataclasses import replace
+
 import numpy as np
 import pandas as pd
 import pytest
@@ -12,6 +14,11 @@ from repro.storage.tiers import TieredStore
 from repro.workload import queries as wq
 
 
+POLICY = {p.key: p for p in pl.POLICIES}
+#: Volume for ``run_policy``'s capacities; only capacitated policies read it.
+TOTAL = 1.0
+
+
 @pytest.fixture(scope="module")
 def setup():
     tables = common.enterprise_table_files(sf=0.002, n_files=10, seed=0)
@@ -19,6 +26,12 @@ def setup():
         tables, n_queries=200, seed=0, sort_cols=sd.ENTERPRISE_SORT_COL
     )
     return tables, queries
+
+
+@pytest.fixture(scope="module")
+def grid(setup):
+    tables, queries = setup
+    return pl.scope_policy_table(tables, queries, max_rows=500, query_repeat=5.0)
 
 
 class TestPartitionConstruction:
@@ -71,10 +84,7 @@ class TestMeasureAndPolicies:
 
     def test_run_policy_premium_only(self, parts_preds):
         parts, _ = parts_preds
-        r = pl.run_policy(
-            name="Default", baseline="-", partitions=parts, predictions=None,
-            tier_names=("premium",), months=5.5,
-        )
+        r = pl.run_policy(POLICY["default"], parts, None, months=5.5, total_gb=TOTAL)
         assert r.tiering_scheme == [len(parts), 0, 0]
         assert r.decomp_cost == 0.0
         assert r.read_latency_s == pytest.approx(cm.TTFB["premium"])
@@ -84,24 +94,14 @@ class TestMeasureAndPolicies:
 
     def test_compression_lowers_storage(self, parts_preds):
         parts, preds = parts_preds
-        plain = pl.run_policy(
-            name="d", baseline="-", partitions=parts, predictions=None,
-            tier_names=("premium",), months=5.5,
-        )
-        comp = pl.run_policy(
-            name="a", baseline="Ares", partitions=parts, predictions=preds,
-            tier_names=("premium",), months=5.5,
-        )
+        plain = pl.run_policy(POLICY["default"], parts, None, months=5.5, total_gb=TOTAL)
+        comp = pl.run_policy(POLICY["ares"], parts, preds, months=5.5, total_gb=TOTAL)
         assert comp.storage_cost < plain.storage_cost
 
     def test_capacity_respected(self, parts_preds):
         parts, _ = parts_preds
         total = sum(p.span_gb for p in parts)
-        r = pl.run_policy(
-            name="h", baseline="Hermes", partitions=parts, predictions=None,
-            tier_names=("premium", "hot", "cool"), months=5.5,
-            capacity_total_gb=total,
-        )
+        r = pl.run_policy(POLICY["hermes"], parts, None, months=5.5, total_gb=total)
         usage = r.assignment.groupby("tier")["stored_gb"].sum()
         assert usage.get("premium", 0.0) <= cm.CAPACITY_FRACTION["premium"] * total + 1e-9
         assert usage.get("hot", 0.0) <= cm.CAPACITY_FRACTION["hot"] * total + 1e-9
@@ -109,13 +109,10 @@ class TestMeasureAndPolicies:
     def test_latency_focused_minimises_latency(self, parts_preds):
         parts, preds = parts_preds
         lat = pl.run_policy(
-            name="l", baseline="HCompress", partitions=parts, predictions=preds,
-            tier_names=("premium", "hot", "cool"), months=5.5, latency_focused=True,
+            replace(POLICY["hcompress"], capacity=False), parts, preds,
+            months=5.5, total_gb=TOTAL,
         )
-        cost = pl.run_policy(
-            name="c", baseline="-", partitions=parts, predictions=preds,
-            tier_names=("premium", "hot", "cool"), months=5.5,
-        )
+        cost = pl.run_policy(POLICY["scope_nocap"], parts, preds, months=5.5, total_gb=TOTAL)
         assert lat.read_latency_s + lat.decomp_latency_ms / 1000 <= (
             cost.read_latency_s + cost.decomp_latency_ms / 1000 + 1e-12
         )
@@ -124,11 +121,6 @@ class TestMeasureAndPolicies:
 
 
 class TestPolicyTable:
-    @pytest.fixture(scope="class")
-    def grid(self, setup):
-        tables, queries = setup
-        return pl.scope_policy_table(tables, queries, max_rows=500, query_repeat=5.0)
-
     def test_eleven_rows(self, grid):
         table, results = grid
         assert len(table) == 11
@@ -159,27 +151,50 @@ class TestPolicyTable:
 
     def test_flags(self, grid):
         _, results = grid
-        assert not results["default"].partitioned
-        assert results["scope_total"].partitioned
-        assert results["ares"].compressed and not results["ares"].tiered
-        assert results["hermes"].tiered and not results["hermes"].compressed
+        assert not results["default"].policy.partitioned
+        assert results["scope_total"].policy.partitioned
+        assert results["ares"].policy.compressed and not results["ares"].policy.tiered
+        assert results["hermes"].policy.tiered and not results["hermes"].policy.compressed
+
+    def test_rows_follow_policies(self, grid):
+        """One row per ``POLICIES`` entry, in order, with P/T/C from it."""
+        table, results = grid
+        keys = [p.key for p in pl.POLICIES]
+        assert list(results) == keys
+        assert list(table["Policy"]) == [p.name for p in pl.POLICIES]
+        for p, row in zip(pl.POLICIES, table.itertuples(index=False)):
+            assert results[p.key].policy is p
+            assert (row.P, row.T, row.C) == tuple(
+                "Y" if on else "-" for on in (p.partitioned, p.tiered, p.compressed)
+            )
+
+    def test_results_hold_the_partitions_they_assign(self, grid):
+        _, results = grid
+        for r in results.values():
+            assert [p.pid for p in r.partitions] == list(r.assignment["pid"])
+
+    def test_partitioned_policies_share_gpart_partitions(self, setup, grid):
+        tables, queries = setup
+        _, results = grid
+        lists = {id(r.partitions) for r in results.values() if r.policy.partitioned}
+        assert len(lists) == 1
+        planned = results["scope_total"].partitions
+        built = pl.gpart_partitions(tables, queries, max_rows=500)
+        assert [(p.pid, p.files, p.span_gb) for p in planned] == [
+            (p.pid, p.files, p.span_gb) for p in built
+        ]
 
 
 class TestTieredWriteIntegration:
-    def test_assignment_written_through_store(self, setup, tmp_path):
-        """End-to-end: OPTASSIGN's choices drive physical tiered writes."""
-        tables, queries = setup
-        parts = pl.gpart_partitions(tables, queries, max_rows=300)
-        preds = pl.measure_partitions(parts, ("parquet+gzip",))
-        r = pl.run_policy(
-            name="scope", baseline="-", partitions=parts, predictions=preds,
-            tier_names=("premium", "hot", "cool"), months=5.5, partitioned=True,
-        )
+    def test_assignment_written_through_store(self, grid, tmp_path):
+        """End-to-end: OPTASSIGN's choices drive physical tiered writes of the
+        partitions the plan assigned."""
+        r = grid[1]["scope_total"]
         store = TieredStore(tmp_path / "lake")
-        by_pid = {p.pid: p for p in parts}
+        by_pid = {p.pid: p for p in r.partitions}
         for row in r.assignment.itertuples(index=False):
             store.put(row.pid, by_pid[row.pid].sample, tier=row.tier, scheme=row.scheme)
-        assert len(store.catalog) == len(parts)
+        assert len(store.catalog) == len(r.partitions)
         # Every object is physically on its assigned tier and decodable.
         some = r.assignment.iloc[0]
         assert (store.root / some.tier / some.pid).exists()
