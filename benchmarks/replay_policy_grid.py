@@ -4,20 +4,20 @@
     python benchmarks/replay_policy_grid.py compare DIR   # on the new tree
 
 ``record`` runs ``pipeline.scope_policy_table`` on the default inputs of
-Tables IX, X and XI and stores, per table, the frames its
-``measure_partitions`` calls returned together with the display table and
-the 11 assignment frames. ``compare`` runs ``scope_policy_table`` again with
-``measure_partitions`` replaced by the recorded frames, and asserts that the
-display tables and all 33 assignment frames are ``check_exact``-equal to the
+Tables IX, X and XI and stores, per table, the frames its results priced
+(``PolicyResult.perf``) with the display table and the 11 assignment frames.
+``compare`` re-plans with ``perf=`` the recorded frames, each picked by the
+sampled pids of the partition list asked for, and asserts that the display
+tables and all 33 assignment frames are ``check_exact``-equal to the
 recorded ones. Replaying the measurements takes the wall-clock decompression
 labels out of the comparison, so any difference is a changed decision.
 
 Pick the tree under test with ``PYTHONPATH`` (``PYTHONPATH=src`` from a
-checkout's root). The script uses only ``table09.inputs``,
-``common.*_table_files``, ``queries.gen_*_workload`` and
-``pipeline.scope_policy_table``/``measure_partitions``, so one copy records
-and compares across trees. G-PART's layout depends on the hash seed, so the
-script re-runs itself with ``PYTHONHASHSEED=0`` when none is set.
+checkout's root); it must have ``scope_policy_table``'s ``perf`` argument.
+The pickle format is unchanged and frames are matched by pid set rather than
+call order, so pickles that earlier copies of this script recorded on older
+trees still compare. G-PART's layout depends on the hash seed, so the script
+re-runs itself with ``PYTHONHASHSEED=0`` when none is set.
 """
 from __future__ import annotations
 
@@ -53,35 +53,30 @@ CASES = {
 MONTHS = 5.5
 
 
-def plan(inputs, kw: dict, replay: list[pd.DataFrame] | None = None):
-    """``scope_policy_table`` on ``inputs()``; returns the display table, the
-    assignment frames by policy and the measurement frames in call order.
-    With ``replay``, each ``measure_partitions`` call returns the next
-    recorded frame instead of measuring."""
+def plan(inputs, kw: dict):
+    """``scope_policy_table`` on ``inputs()``; returns the display table,
+    the assignment frames by policy and the performance frames it priced, in
+    the order they were asked for."""
     tables, queries = inputs()
-    measured: list[pd.DataFrame] = []
-    live = pipeline.measure_partitions
+    table, results = pipeline.scope_policy_table(
+        tables, queries, months=MONTHS, **kw)
+    frames = list({id(r.perf): r.perf for r in results.values()}.values())
+    return table, {k: r.assignment for k, r in results.items()}, frames
 
-    def measure(partitions, *args, **kwargs):
-        if replay is None:
-            out = live(partitions, *args, **kwargs)
-        else:
-            out = replay[len(measured)]
-            want = {p.pid for p in partitions if len(p.sample)}
-            if set(out["pid"]) != want:
-                raise AssertionError(
-                    f"measurement call {len(measured)}: recorded pids differ "
-                    f"from the partitions planned ({len(want)} planned)")
-        measured.append(out)
-        return out
 
-    pipeline.measure_partitions = measure
-    try:
-        table, results = pipeline.scope_policy_table(
-            tables, queries, months=MONTHS, **kw)
-    finally:
-        pipeline.measure_partitions = live
-    return table, {k: r.assignment for k, r in results.items()}, measured
+def recorded(frames: list[pd.DataFrame]):
+    """A ``perf`` source that returns the recorded frame of a partition list,
+    picked by the list's sampled pids."""
+    by_pids = {frozenset(f["pid"]): f for f in frames}
+
+    def perf(partitions):
+        want = frozenset(p.pid for p in partitions if len(p.sample))
+        if want not in by_pids:
+            raise AssertionError(
+                f"no recorded frame has the {len(want)} sampled pids planned")
+        return by_pids[want]
+
+    return perf
 
 
 def record(out: Path) -> None:
@@ -99,7 +94,7 @@ def compare(out: Path) -> None:
     for name, (inputs, kw) in CASES.items():
         with open(out / f"{name}.pkl", "rb") as fh:
             rec = pickle.load(fh)
-        table, assignments, _ = plan(inputs, kw, replay=rec["measured"])
+        table, assignments, _ = plan(inputs, {**kw, "perf": recorded(rec["measured"])})
         pd.testing.assert_frame_equal(table, rec["table"], check_exact=True)
         assert list(assignments) == list(rec["assignments"]), name
         for key, frame in assignments.items():

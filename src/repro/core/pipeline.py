@@ -1,13 +1,15 @@
 """SCOPe unified pipeline (§VII) and the policy grid of Tables IX–XI.
 
 Pipeline: query log → initial partitions (query families) → G-PART merge →
-COMPREDICT (or ground-truth) compression performance per final partition →
-OPTASSIGN tier + scheme assignment → tiered writes.
+compression performance per final partition, from ``scope_policy_table``'s
+``perf`` source (COMPREDICT in the paper; ground truth by default, as for
+Tables IX–XI, footnote 9) → OPTASSIGN tier + scheme assignment → tiered writes.
 
 The eleven policies (rows of Tables IX–XI) are the rows of :data:`POLICIES`:
 each switches partitioning, tiering, compression and Table XII's capacities
 on or off and picks an objective. DESIGN.md §5 maps them to the paper's
-baselines (Ares / Hermes / HCompress adaptations).
+baselines (Ares / Hermes / HCompress adaptations). The results hold the
+partitions each policy assigned and the frame it priced: the whole plan.
 
 Cost semantics: every partition is newly placed (L(P) = -1), so the γ term
 is the initial write; it is folded into the reported storage column.
@@ -17,6 +19,7 @@ access — the paper's columns, computed from the same Table-XII parameters.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,7 +78,7 @@ def _partition(
 
 
 def unpartitioned(
-    tables: dict[str, TableFiles], queries: list[Query], *, max_rows: int = 20_000
+    tables: dict[str, TableFiles], queries: list[Query], *, max_rows: int
 ) -> list[PipelinePartition]:
     """One partition per table; every query on the table scans all of it."""
     return [
@@ -90,10 +93,10 @@ def gpart_partitions(
     tables: dict[str, TableFiles],
     queries: list[Query],
     *,
+    max_rows: int,
     s_thresh_frac: float = 0.6,
     rho_c: float = 3.0,
     rho_abs: float = 50.0,
-    max_rows: int = 20_000,
 ) -> list[PipelinePartition]:
     """G-PART over the whole workload's query families.
 
@@ -142,19 +145,11 @@ def measure_partitions(
     the paper generates the Tables IX–XI comparison with ground truth."""
     rows = []
     for p in partitions:
-        if len(p.sample) == 0:
-            continue
-        for s in schemes:
-            m = codecs.measure(p.sample, s, repeats=1)
-            rows.append(
-                {
-                    "pid": p.pid,
-                    "scheme": s,
-                    "ratio": m.ratio,
-                    "decomp_sec_per_gb": m.decomp_sec_per_gb,
-                }
-            )
-    return pd.DataFrame(rows)
+        if len(p.sample):
+            for s in schemes:
+                m = codecs.measure(p.sample, s, repeats=1)
+                rows.append((p.pid, s, m.ratio, m.decomp_sec_per_gb))
+    return pd.DataFrame(rows, columns=["pid", "scheme", "ratio", "decomp_sec_per_gb"])
 
 
 def partitions_frame(partitions: list[PipelinePartition]) -> pd.DataFrame:
@@ -217,10 +212,13 @@ POLICIES = (
 @dataclass
 class PolicyResult:
     """One row of Tables IX–XI: the policy, its costs and the assignment of
-    ``partitions`` (the list the policy ran on, not a copy)."""
+    ``partitions`` (the list the policy ran on, not a copy). ``perf`` is the
+    (pid, scheme, ratio, decomp_sec_per_gb) frame priced for that list, also
+    shared, and is read only when the policy compresses."""
 
     policy: Policy
     partitions: list[PipelinePartition]
+    perf: pd.DataFrame | None
     storage_cost: float
     decomp_cost: float
     read_cost: float
@@ -260,14 +258,14 @@ def _latency_objective(cand: pd.DataFrame) -> pd.DataFrame:
 def run_policy(
     policy: Policy,
     partitions: list[PipelinePartition],
-    predictions: pd.DataFrame | None,
+    perf: pd.DataFrame | None,
     *,
     months: float,
     total_gb: float,
 ) -> PolicyResult:
     """Run OPTASSIGN on ``partitions`` under ``policy`` and tally its table
-    row. ``predictions`` is used only when the policy compresses, and
-    ``total_gb`` only when it bounds the tiers' capacities."""
+    row. ``perf`` is used only when the policy compresses, and ``total_gb``
+    only when it bounds the tiers' capacities."""
     pframe = partitions_frame(partitions)
     names = GRID_TIERS if policy.tiered else GRID_TIERS[:1]
     tiers = cm.make_tiers(names, total_gb=total_gb if policy.capacity else None)
@@ -279,7 +277,7 @@ def run_policy(
     weights = (cm.CostWeights(alpha=0.0, beta=1.0, gamma=0.0)
                if policy.objective == "read" else cm.CostWeights())
     cand = candidate_frame_numpy(
-        pframe, predictions if policy.compressed else None, tiers,
+        pframe, perf if policy.compressed else None, tiers,
         months=months, weights=weights,
     )
     if policy.objective == "latency":
@@ -294,6 +292,7 @@ def run_policy(
     return PolicyResult(
         policy=policy,
         partitions=partitions,
+        perf=perf,
         storage_cost=float(a["storage_cost"].sum() + a["transfer_cost"].sum()),
         decomp_cost=float(a["decomp_cost"].sum()),
         read_cost=float(a["read_cost"].sum()),
@@ -313,10 +312,11 @@ def scope_policy_table(
     tables: dict[str, TableFiles],
     queries: list[Query],
     *,
+    max_rows: int,
+    query_repeat: float,
     months: float = 5.5,
     s_thresh_frac: float = 0.6,
-    max_rows: int = 20_000,
-    query_repeat: float = 1.0,
+    perf: Callable[[list[PipelinePartition]], pd.DataFrame] = measure_partitions,
 ) -> tuple[pd.DataFrame, dict[str, PolicyResult]]:
     """Produce the rows of :data:`POLICIES` for one Table IX/X/XI instance.
 
@@ -325,9 +325,10 @@ def scope_policy_table(
     ``query_repeat`` is the projected number of executions of each logged
     query over the billing horizon (the paper's read-cost magnitudes imply
     each query family recurs many times over 5.5 months). G-PART runs with
-    ``gpart_partitions``' default ρ thresholds, and every partition is
-    measured once in each of ``PIPELINE_SCHEMES``. The partitioned policies
-    share one partition list, and so do the others.
+    ``gpart_partitions``' default ρ thresholds. The partitioned policies
+    share one partition list, and so do the others. ``perf`` maps a list to
+    its (pid, scheme, ratio, decomp_sec_per_gb) frame; it is called for the
+    whole-table list, then for the G-PART list.
     """
     whole = unpartitioned(tables, queries, max_rows=max_rows)
     parted = gpart_partitions(
@@ -335,8 +336,7 @@ def scope_policy_table(
     )
     for p in (*whole, *parted):
         p.rho *= query_repeat
-    inputs = {False: (whole, measure_partitions(whole)),
-              True: (parted, measure_partitions(parted))}
+    inputs = {False: (whole, perf(whole)), True: (parted, perf(parted))}
     total_gb = sum(tf.size_gb for tf in tables.values())
     results = {
         p.key: run_policy(p, *inputs[p.partitioned], months=months, total_gb=total_gb)

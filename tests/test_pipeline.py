@@ -81,6 +81,7 @@ class TestMeasureAndPolicies:
         _, preds = parts_preds
         assert set(preds.columns) == {"pid", "scheme", "ratio", "decomp_sec_per_gb"}
         assert (preds["ratio"] > 0).all()
+        assert list(pl.measure_partitions([]).columns) == list(preds.columns)
 
     def test_run_policy_premium_only(self, parts_preds):
         parts, _ = parts_preds
@@ -172,6 +173,12 @@ class TestPolicyTable:
         _, results = grid
         for r in results.values():
             assert [p.pid for p in r.partitions] == list(r.assignment["pid"])
+            assert set(r.perf["pid"]) == {p.pid for p in r.partitions if len(p.sample)}
+        # One priced frame per partition list, shared like the list itself.
+        perf_of = {}
+        for r in results.values():
+            assert perf_of.setdefault(id(r.partitions), r.perf) is r.perf
+        assert len(perf_of) == 2
 
     def test_partitioned_policies_share_gpart_partitions(self, setup, grid):
         tables, queries = setup

@@ -1,10 +1,11 @@
 """Cross-cutting properties: cost linearity in GB (the scale substitution's
 justification) and Table-X vs Table-XI consistency at reduced scale."""
+import pandas as pd
 import pytest
 
 from repro import synth_data as sd
 from repro.core import cost_model as cm
-from repro.core.pipeline import scope_policy_table
+from repro.core.pipeline import PIPELINE_SCHEMES, scope_policy_table
 from repro.experiments import common
 from repro.workload import queries as wq
 
@@ -31,20 +32,29 @@ class TestCostLinearity:
         t_big = common.tpch_table_files(logical_total_gb=100.0, **kw)
         qs = wq.gen_tpch_workload(t_small, n_per_template=3, seed=0)
         qb = wq.gen_tpch_workload(t_big, n_per_template=3, seed=0)
-        tbl_s, res_s = scope_policy_table(t_small, qs, max_rows=300, query_repeat=5.0)
-        tbl_b, res_b = scope_policy_table(t_big, qb, max_rows=300, query_repeat=5.0)
+
+        def fixed_perf(partitions):
+            # One (ratio, sec/GB) per scheme, so both scales price the same
+            # codecs; live timings would differ between the two calls.
+            return pd.DataFrame(
+                [{"pid": p.pid, "scheme": s, "ratio": 2.0 + i,
+                  "decomp_sec_per_gb": 1.0 + 0.5 * i}
+                 for p in partitions for i, s in enumerate(PIPELINE_SCHEMES)])
+
+        plan_kw = dict(max_rows=300, query_repeat=5.0, perf=fixed_perf)
+        tbl_s, res_s = scope_policy_table(t_small, qs, **plan_kw)
+        tbl_b, res_b = scope_policy_table(t_big, qb, **plan_kw)
         # Exact 10x linearity for the unpartitioned policies. G-PART rows are
         # only compared on tier mix: fractional overlaps are scale-invariant
         # up to float ULPs, and near-ties in the merge heap may order
         # differently across scales, perturbing individual partition spans.
         for key in ("default", "ares", "hermes"):
-            assert res_b[key].storage_cost == pytest.approx(
-                10 * res_s[key].storage_cost, rel=1e-6
-            )
-            assert res_b[key].read_cost == pytest.approx(
-                10 * res_s[key].read_cost, rel=1e-6
-            )
+            for cost in ("storage_cost", "read_cost", "decomp_cost", "total_cost"):
+                assert getattr(res_b[key], cost) == pytest.approx(
+                    10 * getattr(res_s[key], cost), rel=1e-6
+                ), (key, cost)
             assert res_b[key].tiering_scheme == res_s[key].tiering_scheme
+        assert res_s["ares"].decomp_cost > 0
 
 
 class TestWorkloadScaleKnobs:
