@@ -4,10 +4,7 @@ from repro.experiments import table05
 
 
 def test_table05(benchmark, results_dir):
-    out = benchmark.pedantic(
-        lambda: table05.run(sf=0.02, n_per_template=8, max_rows=2500),
-        rounds=1, iterations=1,
-    )
+    out = benchmark.pedantic(table05.run, rounds=1, iterations=1)
     record(results_dir, "table05", table05.PAPER, out)
     ratio = out[out["Target"] == "Compression Ratio"].set_index(
         ["Training Data", "Features"]

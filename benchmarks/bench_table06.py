@@ -3,8 +3,8 @@ from benchmarks._bench_utils import record
 from repro.experiments import table06
 
 
-def test_table06(benchmark, results_dir, compredict_datasets):
-    ds = compredict_datasets["uniform"]
+def test_table06(benchmark, results_dir):
+    ds = table06.build_dataset()
     out = benchmark.pedantic(lambda: table06.run(dataset=ds), rounds=1, iterations=1)
     record(results_dir, "table06", table06.PAPER, out)
     grid = out.set_index("Model")

@@ -3,13 +3,9 @@ from benchmarks._bench_utils import record
 from repro.experiments import table07
 
 
-def test_table07(benchmark, results_dir, compredict_datasets):
-    datasets = {
-        "TPC-H 100GB": compredict_datasets["large"],
-        "TPC-H Skew": compredict_datasets["skew"],
-    }
+def test_table07(benchmark, results_dir, table07_datasets):
     out = benchmark.pedantic(
-        lambda: table07.run(datasets=datasets), rounds=1, iterations=1
+        lambda: table07.run(datasets=table07_datasets), rounds=1, iterations=1
     )
     record(results_dir, "table07", table07.PAPER, out)
     rf = out[out["Model"] == "Random Forest"].set_index("Dataset")

@@ -3,13 +3,9 @@ from benchmarks._bench_utils import record
 from repro.experiments import table08
 
 
-def test_table08(benchmark, results_dir, compredict_datasets):
-    datasets = {
-        "TPC-H 100GB": compredict_datasets["large"],
-        "TPC-H Skew": compredict_datasets["skew"],
-    }
+def test_table08(benchmark, results_dir, table07_datasets):
     out = benchmark.pedantic(
-        lambda: table08.run(datasets=datasets), rounds=1, iterations=1
+        lambda: table08.run(datasets=table07_datasets), rounds=1, iterations=1
     )
     record(results_dir, "table08", table08.PAPER, out)
     rf = out[out["Model"] == "Random Forest"].set_index("Dataset")

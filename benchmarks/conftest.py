@@ -1,4 +1,4 @@
-"""Benchmark-local fixtures: result sink + shared COMPREDICT datasets.
+"""Benchmark-local fixtures: result sink + Tables VII/VIII's shared datasets.
 
 Every bench writes the table it produced (paper rows next to measured rows)
 to ``benchmarks/results/tableNN.txt`` so the numbers survive the run; the
@@ -20,17 +20,9 @@ def results_dir() -> pathlib.Path:
 
 
 @pytest.fixture(scope="session")
-def compredict_datasets():
-    """Shared across bench_table06/07/08 — the expensive part is labelling."""
-    from repro.experiments import table06
+def table07_datasets():
+    """Shared by bench_table07 and bench_table08 — the expensive part is
+    labelling."""
+    from repro.experiments import table07
 
-    uniform = table06.build_dataset(
-        sf=0.02, n_per_template=8, max_rows=2500, seed=0, repeats=2
-    )
-    large = table06.build_dataset(
-        sf=0.05, n_per_template=8, max_rows=2500, seed=0, repeats=2
-    )
-    skew = table06.build_dataset(
-        sf=0.02, n_per_template=8, max_rows=2500, seed=1, repeats=2, skew=3.0
-    )
-    return {"uniform": uniform, "large": large, "skew": skew}
+    return table07.build_datasets()

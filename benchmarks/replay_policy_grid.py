@@ -3,9 +3,11 @@
     python benchmarks/replay_policy_grid.py record DIR    # on the old tree
     python benchmarks/replay_policy_grid.py compare DIR   # on the new tree
 
-``record`` runs ``pipeline.scope_policy_table`` on the default inputs of
-Tables IX, X and XI and stores, per table, the frames its results priced
-(``PolicyResult.perf``) with the display table and the 11 assignment frames.
+``record`` runs ``pipeline.scope_policy_table`` on the instances of Tables
+IX, X and XI, read from each table module's ``inputs()`` and ``PLAN`` (what
+its ``run`` and bench use), and stores, per table, the frames its results
+priced (``PolicyResult.perf``) with the display table and the 11 assignment
+frames.
 ``compare`` re-plans with ``perf=`` the recorded frames, each picked by the
 sampled pids of the partition list asked for, and asserts that the display
 tables and all 33 assignment frames are ``check_exact``-equal to the
@@ -13,10 +15,11 @@ recorded ones. Replaying the measurements takes the wall-clock decompression
 labels out of the comparison, so any difference is a changed decision.
 
 Pick the tree under test with ``PYTHONPATH`` (``PYTHONPATH=src`` from a
-checkout's root); it must have ``scope_policy_table``'s ``perf`` argument.
-The pickle format is unchanged and frames are matched by pid set rather than
-call order, so pickles that earlier copies of this script recorded on older
-trees still compare. G-PART's layout depends on the hash seed, so the script
+checkout's root); it must have ``scope_policy_table``'s ``perf`` argument
+and the table modules' ``inputs`` and ``PLAN``. The pickle format is
+unchanged and frames are matched by pid set rather than call order, so
+pickles that earlier copies of this script recorded on older trees still
+compare. G-PART's layout depends on the hash seed, so the script
 re-runs itself with ``PYTHONHASHSEED=0`` when none is set.
 """
 from __future__ import annotations
@@ -30,36 +33,20 @@ from pathlib import Path
 import pandas as pd
 
 from repro.core import pipeline
-from repro.experiments import common, table09
-from repro.workload import queries as wq
+from repro.experiments import table09, table10, table11
 
-
-def _tpch(*, logical_gb: float, n_files: int, seed: int):
-    tables = common.tpch_table_files(
-        sf=0.1, logical_total_gb=logical_gb, n_files=n_files, seed=seed)
-    return tables, wq.gen_tpch_workload(tables, n_per_template=20, seed=seed)
-
-
-#: Table -> (inputs, ``scope_policy_table`` keywords): the defaults of each
-#: table's ``run``. Table X's are also perfbench's ``tpch100`` inputs.
-CASES = {
-    "table09": (table09.inputs,
-                dict(max_rows=8000, query_repeat=6.0, s_thresh_frac=0.1)),
-    "table10": (lambda: _tpch(logical_gb=100.0, n_files=32, seed=0),
-                dict(max_rows=8000, query_repeat=25.0, s_thresh_frac=0.05)),
-    "table11": (lambda: _tpch(logical_gb=1000.0, n_files=48, seed=1),
-                dict(max_rows=8000, query_repeat=25.0, s_thresh_frac=0.05)),
-}
-MONTHS = 5.5
+#: Table -> (inputs, ``scope_policy_table`` settings), each read from the
+#: table's module. Table X's inputs are also perfbench's ``tpch100`` inputs.
+CASES = {"table09": (table09.inputs, table09.PLAN),
+         "table10": (table10.inputs, table10.PLAN),
+         "table11": (table11.inputs, table11.PLAN)}
 
 
 def plan(inputs, kw: dict):
     """``scope_policy_table`` on ``inputs()``; returns the display table,
     the assignment frames by policy and the performance frames it priced, in
     the order they were asked for."""
-    tables, queries = inputs()
-    table, results = pipeline.scope_policy_table(
-        tables, queries, months=MONTHS, **kw)
+    table, results = pipeline.scope_policy_table(*inputs(), **kw)
     frames = list({id(r.perf): r.perf for r in results.values()}.values())
     return table, {k: r.assignment for k, r in results.items()}, frames
 

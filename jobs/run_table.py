@@ -1,4 +1,5 @@
 """Reproduce one evaluation table and print it next to the paper's numbers.
+It runs the table module's defaults, the instance its bench runs.
 
     python jobs/run_table.py 10     # Table X; any of 02..11
 """

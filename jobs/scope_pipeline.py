@@ -3,10 +3,10 @@
 Runs the Table-IX configuration and prints its policy grid next to the
 paper's, then writes every partition that the total-cost SCOPe policy
 planned to its assigned tier in its assigned codec through the TieredStore
-substrate. After 5.5 months of storage it prints the store's metered write
-and storage bill, at physical sample scale (not the model's logical GB),
-and the number of objects per tier. It does not compare that bill with the
-model's costs."""
+substrate. After storage over Table IX's billing horizon it prints the
+store's metered write and storage bill, at physical sample scale (not the
+model's logical GB), and the number of objects per tier. It does not
+compare that bill with the model's costs."""
 import os
 import sys
 
@@ -28,7 +28,7 @@ def main() -> None:
         store = TieredStore(root)
         for row in planned.assignment.itertuples(index=False):
             store.put(row.pid, samples[row.pid], tier=row.tier, scheme=row.scheme)
-        store.advance(5.5)
+        store.advance(table09.PLAN["months"])
         print("\nTiered-write bill (cents, physical sample scale):")
         print(f"  write={store.meter.write:.6f} storage={store.meter.storage:.6f}")
         print(f"  objects per tier: { {t: sum(1 for m in store.catalog.values() if m.tier == t) for t in store.tiers} }")

@@ -103,16 +103,18 @@ def label_samples(
 
     Columns: entropy features, size features, and per scheme
     ``ratio_<scheme>`` / ``dsec_<scheme>`` (decompression sec/GB) targets.
+    ``size_mb`` is the CSV size, the ``raw_bytes`` of the first CSV scheme.
     """
     rows = []
     for pdf in samples:
         row = weighted_entropy_pandas(pdf)
-        row["size_mb"] = len(codecs.csv_bytes(pdf)) / 2**20
+        measured = [codecs.measure(pdf, s, repeats=repeats) for s in schemes]
+        csv = [m.raw_bytes for m in measured if m.scheme.startswith("csv+")]
+        row["size_mb"] = (csv[0] if csv else len(codecs.csv_bytes(pdf))) / 2**20
         row["n_rows"] = len(pdf)
-        for s in schemes:
-            m = codecs.measure(pdf, s, repeats=repeats)
-            row[f"ratio_{s}"] = m.ratio
-            row[f"dsec_{s}"] = m.decomp_sec_per_gb
+        for m in measured:
+            row[f"ratio_{m.scheme}"] = m.ratio
+            row[f"dsec_{m.scheme}"] = m.decomp_sec_per_gb
         rows.append(row)
     return pd.DataFrame(rows)
 

@@ -44,14 +44,15 @@ def tpch_table_files(
 
 
 def enterprise_table_files(
-    *,
-    sf: float,
-    logical_total_gb: float = 1.5,
-    n_files: int = 12,
-    seed: int = 0,
+    *, sf: float, n_files: int = 12, seed: int = 0
 ) -> dict[str, wq.TableFiles]:
-    """The 3-table Enterprise Data II stand-in (paper: ~1.5 GB total)."""
-    pdfs = {name: gen(sf=sf) for name, gen in sd.ENTERPRISE_PDF.items()}
+    """The 3-table Enterprise Data II stand-in at the paper's ~1.5 GB total.
+    Table ``i`` is drawn on ``seed + 10 + i``, so seed 0 gives the
+    generators' default frames."""
+    pdfs = {
+        name: gen(sf=sf, seed=seed + 10 + i)
+        for i, (name, gen) in enumerate(sd.ENTERPRISE_PDF.items())
+    }
     phys = {n: p.memory_usage(deep=True).sum() for n, p in pdfs.items()}
     total_phys = sum(phys.values())
     return {
@@ -60,7 +61,7 @@ def enterprise_table_files(
             name,
             n_files=n_files,
             sort_col=sd.ENTERPRISE_SORT_COL[name],
-            logical_size_gb=logical_total_gb * phys[name] / total_phys,
+            logical_size_gb=1.5 * phys[name] / total_phys,
         )
         for name, pdf in pdfs.items()
     }
@@ -74,7 +75,7 @@ def query_samples(
     tables: dict[str, wq.TableFiles],
     queries: list[wq.Query],
     *,
-    max_rows: int = 4000,
+    max_rows: int,
 ) -> list[pd.DataFrame]:
     """Materialise query results as COMPREDICT training samples (§V: 'samples
     used to train the model are derived from results of queries'); results
@@ -97,7 +98,6 @@ def metrics_grid(
     schemes: dict[str, str],
     target_prefix: str,
     features: tuple[str, ...],
-    seed: int = 0,
 ) -> pd.DataFrame:
     """models x schemes grid of MAE/MAPE/R² — the layout of Tables VI–VIII."""
     rows = []
@@ -109,7 +109,6 @@ def metrics_grid(
                 target=f"{target_prefix}_{scheme}",
                 features=features,
                 model_factory=factory,
-                seed=seed,
             )
             row[f"{label} MAE"] = round(m["MAE"], 4)
             row[f"{label} MAPE"] = round(m["MAPE"], 3)

@@ -37,8 +37,8 @@ SCHEMES = {
 def build_dataset(
     *,
     sf: float = 0.02,
-    n_per_template: int = 10,
-    max_rows: int = 3000,
+    n_per_template: int = 8,
+    max_rows: int = 2500,
     seed: int = 0,
     repeats: int = 2,
     skew: float | None = None,
@@ -51,11 +51,11 @@ def build_dataset(
     return cp.label_samples(samples, tuple(SCHEMES.values()), repeats=repeats)
 
 
-def run(dataset: pd.DataFrame | None = None, **dataset_kw) -> pd.DataFrame:
-    if dataset is None:
-        dataset = build_dataset(**dataset_kw)
+def run(dataset: pd.DataFrame | None = None) -> pd.DataFrame:
+    """The models x :data:`SCHEMES` ratio grid on ``dataset``, by default
+    :func:`build_dataset`'s."""
     return common.metrics_grid(
-        dataset,
+        build_dataset() if dataset is None else dataset,
         models=cp.MODEL_FACTORIES,
         schemes=SCHEMES,
         target_prefix="ratio",

@@ -25,22 +25,13 @@ PAPER = pd.DataFrame(
 SCHEMES = {"gzip": "csv+gzip", "parquet + gzip": "parquet+gzip"}
 
 
-def build_datasets(
-    *,
-    sf_large: float = 0.05,
-    sf_skew: float = 0.02,
-    skew: float = 3.0,
-    n_per_template: int = 10,
-    max_rows: int = 3000,
-    seed: int = 0,
-    repeats: int = 2,
-) -> dict[str, pd.DataFrame]:
-    """The two datasets of Tables VII and VIII: a larger uniform SF ('100GB'
-    stand-in) and Zipf skew."""
-    kw = dict(n_per_template=n_per_template, max_rows=max_rows, repeats=repeats)
+def build_datasets() -> dict[str, pd.DataFrame]:
+    """The two datasets of Tables VII and VIII, at Table VI's settings
+    otherwise: a larger uniform SF ('100GB' stand-in) and Zipf skew 3 on
+    seed 1."""
     return {
-        "TPC-H 100GB": table06.build_dataset(sf=sf_large, seed=seed, **kw),
-        "TPC-H Skew": table06.build_dataset(sf=sf_skew, seed=seed + 1, skew=skew, **kw),
+        "TPC-H 100GB": table06.build_dataset(sf=0.05),
+        "TPC-H Skew": table06.build_dataset(seed=1, skew=3.0),
     }
 
 
@@ -61,10 +52,6 @@ def grid(datasets: dict[str, pd.DataFrame], target_prefix: str) -> pd.DataFrame:
     return pd.concat(blocks, ignore_index=True)
 
 
-def run(
-    *, datasets: dict[str, pd.DataFrame] | None = None, **dataset_kw
-) -> pd.DataFrame:
-    """Compression-ratio grids; ``dataset_kw`` go to :func:`build_datasets`."""
-    if datasets is None:
-        datasets = build_datasets(**dataset_kw)
-    return grid(datasets, "ratio")
+def run(*, datasets: dict[str, pd.DataFrame] | None = None) -> pd.DataFrame:
+    """Compression-ratio grids, by default on :func:`build_datasets`."""
+    return grid(build_datasets() if datasets is None else datasets, "ratio")

@@ -20,11 +20,8 @@ PAPER = pd.DataFrame(
 )
 
 
-def run(
-    *, datasets: dict[str, pd.DataFrame] | None = None, **dataset_kw
-) -> pd.DataFrame:
-    """Decompression sec/GB grids on Table VII's datasets; ``dataset_kw`` go
-    to :func:`table07.build_datasets`."""
-    if datasets is None:
-        datasets = table07.build_datasets(**dataset_kw)
-    return table07.grid(datasets, "dsec")
+def run(*, datasets: dict[str, pd.DataFrame] | None = None) -> pd.DataFrame:
+    """Decompression sec/GB grids, by default on
+    :func:`table07.build_datasets`."""
+    return table07.grid(
+        table07.build_datasets() if datasets is None else datasets, "dsec")

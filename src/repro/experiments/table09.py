@@ -33,29 +33,24 @@ PAPER = pd.DataFrame(
 )
 
 
+#: Table IX's ``scope_policy_table`` settings: the 5.5-month horizon, rows
+#: per partition sample, executions of each logged query over the horizon,
+#: and G-PART's span cap as a fraction of the volume.
+PLAN = dict(months=5.5, max_rows=8000, query_repeat=6.0, s_thresh_frac=0.1)
+
+
 def inputs(
-    *, sf: float = 0.01, n_queries: int = 1200, n_files: int = 24, seed: int = 0
+    *, sf: float = 0.01, n_queries: int = 1200, n_files: int = 24
 ) -> tuple[dict[str, wq.TableFiles], list[wq.Query]]:
-    """Table IX's three tables and its Zipf query log."""
-    tables = common.enterprise_table_files(sf=sf, n_files=n_files, seed=seed)
+    """Table IX's three tables and its Zipf query log, both on seed 0."""
+    tables = common.enterprise_table_files(sf=sf, n_files=n_files)
     queries = wq.gen_zipf_workload(
-        tables, n_queries=n_queries, alpha=1.5, seed=seed,
-        sort_cols=sd.ENTERPRISE_SORT_COL,
+        tables, n_queries=n_queries, alpha=1.5, sort_cols=sd.ENTERPRISE_SORT_COL
     )
     return tables, queries
 
 
-def run(
-    *,
-    sf: float = 0.01,
-    n_queries: int = 1200,
-    n_files: int = 24,
-    months: float = 5.5,
-    seed: int = 0,
-    max_rows: int = 8000,
-    query_repeat: float = 6.0,
-    s_thresh_frac: float = 0.1,
-) -> tuple[pd.DataFrame, dict]:
-    tables, queries = inputs(sf=sf, n_queries=n_queries, n_files=n_files, seed=seed)
-    return scope_policy_table(tables, queries, months=months, max_rows=max_rows,
-        query_repeat=query_repeat, s_thresh_frac=s_thresh_frac)
+def run(*, max_rows: int = PLAN["max_rows"], **inputs_kw) -> tuple[pd.DataFrame, dict]:
+    """The policy grid on :func:`inputs` under :data:`PLAN`; ``inputs_kw``
+    and ``max_rows`` shrink the instance."""
+    return scope_policy_table(*inputs(**inputs_kw), **{**PLAN, "max_rows": max_rows})

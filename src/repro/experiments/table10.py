@@ -30,23 +30,28 @@ PAPER = pd.DataFrame(
 )
 
 
-def run(
+#: ``scope_policy_table`` settings of Tables X and XI, as in
+#: :data:`table09.PLAN` with a larger query recurrence and a finer span cap.
+PLAN = dict(months=5.5, max_rows=8000, query_repeat=25.0, s_thresh_frac=0.05)
+
+
+def inputs(
     *,
     sf: float = 0.1,
     logical_gb: float = 100.0,
     n_per_template: int = 20,
     n_files: int = 32,
-    months: float = 5.5,
     seed: int = 0,
-    max_rows: int = 8000,
-    query_repeat: float = 25.0,
-    s_thresh_frac: float = 0.05,
-) -> tuple[pd.DataFrame, dict]:
-    """The policy grid on TPC-H with spans scaled to ``logical_gb``; Table XI
-    runs it at 1 TB."""
+) -> tuple[dict[str, wq.TableFiles], list[wq.Query]]:
+    """TPC-H tables with spans scaled to ``logical_gb`` and the 22-template
+    workload; Table XI sets the instance at 1 TB."""
     tables = common.tpch_table_files(
         sf=sf, logical_total_gb=logical_gb, n_files=n_files, seed=seed
     )
-    queries = wq.gen_tpch_workload(tables, n_per_template=n_per_template, seed=seed)
-    return scope_policy_table(tables, queries, months=months, max_rows=max_rows,
-        query_repeat=query_repeat, s_thresh_frac=s_thresh_frac)
+    return tables, wq.gen_tpch_workload(tables, n_per_template=n_per_template, seed=seed)
+
+
+def run(*, max_rows: int = PLAN["max_rows"], **inputs_kw) -> tuple[pd.DataFrame, dict]:
+    """The policy grid on :func:`inputs` under :data:`PLAN`; ``inputs_kw``
+    and ``max_rows`` shrink the instance."""
+    return scope_policy_table(*inputs(**inputs_kw), **{**PLAN, "max_rows": max_rows})

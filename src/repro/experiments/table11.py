@@ -29,5 +29,8 @@ PAPER = pd.DataFrame(
              "DecompLat(ms)", "Tiering"],
 )
 
-#: Table X's runner at 1 TB, on a finer file split and another seed.
-run = functools.partial(table10.run, logical_gb=1000.0, n_files=48, seed=1)
+#: Table X's instance at 1 TB, on a finer file split and another seed.
+INSTANCE = dict(logical_gb=1000.0, n_files=48, seed=1)
+PLAN = table10.PLAN
+inputs = functools.partial(table10.inputs, **INSTANCE)
+run = functools.partial(table10.run, **INSTANCE)

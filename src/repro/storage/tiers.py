@@ -14,7 +14,7 @@ disk are genuinely compressed and are the bytes ``codecs.measure`` labels.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import pandas as pd
@@ -42,14 +42,10 @@ class BillingMeter:
     storage: float = 0.0
     read: float = 0.0
     write: float = 0.0
-    ops: list[dict] = field(default_factory=list)
 
     @property
     def total(self) -> float:
         return self.storage + self.read + self.write
-
-    def record(self, kind: str, key: str, cents: float) -> None:
-        self.ops.append({"kind": kind, "key": key, "cents": cents})
 
 
 class TieredStore:
@@ -72,10 +68,12 @@ class TieredStore:
         self.meter = BillingMeter()
 
     # -- helpers ---------------------------------------------------------
-    def _path(self, tier: str, key: str) -> Path:
+    def _write(self, tier: str, key: str, blob: bytes) -> None:
+        """Write ``blob`` under ``tier``, creating the key's directories;
+        reads never create any."""
         p = self.root / tier / key
         p.parent.mkdir(parents=True, exist_ok=True)
-        return p
+        p.write_bytes(blob)
 
     # -- public API ------------------------------------------------------
     def put(self, key: str, pdf: pd.DataFrame, *, tier: str, scheme: str) -> ObjectMeta:
@@ -83,21 +81,17 @@ class TieredStore:
         if tier not in self.tiers:
             raise ValueError(f"unknown tier {tier!r}")
         blob, raw = codecs.encode(pdf, scheme)
-        self._path(tier, key).write_bytes(blob)
+        self._write(tier, key, blob)
         meta = ObjectMeta(key, tier, scheme, len(raw), len(blob))
         self.catalog[key] = meta
-        cents = cm.WRITE_COST[tier] * len(blob) / 2**30
-        self.meter.write += cents
-        self.meter.record("write", key, cents)
+        self.meter.write += cm.WRITE_COST[tier] * len(blob) / 2**30
         return meta
 
     def get(self, key: str) -> pd.DataFrame:
         """Read + decode an object; bills the read on its tier."""
         meta = self.catalog[key]
-        blob = self._path(meta.tier, key).read_bytes()
-        cents = cm.READ_COST[meta.tier] * len(blob) / 2**30
-        self.meter.read += cents
-        self.meter.record("read", key, cents)
+        blob = (self.root / meta.tier / key).read_bytes()
+        self.meter.read += cm.READ_COST[meta.tier] * len(blob) / 2**30
         return codecs.decode(blob, meta.scheme, meta.raw_bytes)
 
     def move(self, key: str, dst: str) -> ObjectMeta:
@@ -106,17 +100,16 @@ class TieredStore:
         meta = self.catalog[key]
         if dst == meta.tier:
             return meta
-        src_path = self._path(meta.tier, key)
+        src_path = self.root / meta.tier / key
         blob = src_path.read_bytes()
         gb = len(blob) / 2**30
         cents = cm.tier_change_cost(meta.tier, dst) * gb
         if meta.tier == "archive" and meta.months_resident < cm.ARCHIVE_MIN_MONTHS:
             penalty_months = cm.ARCHIVE_MIN_MONTHS - meta.months_resident
             cents += cm.STORAGE_COST["archive"] * gb * penalty_months
-        self._path(dst, key).write_bytes(blob)
+        self._write(dst, key, blob)
         src_path.unlink()
         self.meter.write += cents
-        self.meter.record("move", key, cents)
         meta.tier = dst
         meta.months_resident = 0.0
         return meta
@@ -129,7 +122,6 @@ class TieredStore:
             meta.months_resident += months
             cents += c
         self.meter.storage += cents
-        self.meter.record("advance", "*", cents)
         return cents
 
     def usage_gb(self) -> dict[str, float]:

@@ -99,6 +99,12 @@ class TestSamples:
             cp.weighted_entropy_pandas(frame)
         )
 
+    @pytest.mark.parametrize("schemes", [("parquet+gzip", "csv+snappy"), ("parquet+gzip",)])
+    def test_size_mb_is_csv_size(self, frame, schemes):
+        """``size_mb`` is the CSV size whether or not a CSV scheme is labelled."""
+        ds = cp.label_samples([frame.head(120)], schemes, repeats=1)
+        assert ds["size_mb"].iloc[0] == len(codecs.csv_bytes(frame.head(120))) / 2**20
+
     def test_build_dataset_columns(self, frame):
         ds = cp.label_samples(
             [frame.head(n) for n in (50, 100)], ("csv+gzip", "csv+snappy"), repeats=1

@@ -5,6 +5,7 @@ import inspect
 import pandas as pd
 import pytest
 
+from repro import synth_data as sd
 from repro.experiments import (
     common,
     table02,
@@ -32,6 +33,18 @@ def t04():
 @pytest.fixture(scope="module")
 def compredict_dataset():
     return table06.build_dataset(sf=0.003, n_per_template=4, max_rows=1200, repeats=1)
+
+
+class TestCommon:
+    def test_enterprise_seed_draws_the_tables(self):
+        """Seed 0 gives the generators' default frames; seed 1 others."""
+        t0 = common.enterprise_table_files(sf=0.002, seed=0)
+        t1 = common.enterprise_table_files(sf=0.002, seed=1)
+        for name, gen in sd.ENTERPRISE_PDF.items():
+            default = gen(sf=0.002).sort_values(
+                sd.ENTERPRISE_SORT_COL[name], ignore_index=True)
+            pd.testing.assert_frame_equal(t0[name].pdf, default, check_exact=True)
+            assert not t1[name].pdf.equals(t0[name].pdf)
 
 
 class TestTable02:

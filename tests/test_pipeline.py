@@ -122,10 +122,30 @@ class TestMeasureAndPolicies:
 
 
 class TestPolicyTable:
-    def test_eleven_rows(self, grid):
-        table, results = grid
+    @pytest.mark.parametrize("case", ["zipf_log", "empty_log", "one_file"])
+    def test_eleven_rows(self, setup, grid, case):
+        """Eleven finite rows, and every file stored in a planned partition;
+        also on an empty query log and on a table split into one file."""
+        tables, _ = setup
+        if case == "zipf_log":
+            table, results = grid
+        else:
+            queries = []
+            if case == "one_file":
+                tables = {"events": wq.split_table(
+                    sd.enterprise_events_pdf(sf=0.002), "events", n_files=1, sort_col="ts")}
+                queries = wq.gen_zipf_workload(
+                    tables, n_queries=50, seed=0, sort_cols=sd.ENTERPRISE_SORT_COL)
+            table, results = pl.scope_policy_table(
+                tables, queries, max_rows=200, query_repeat=5.0)
         assert len(table) == 11
         assert len(results) == 11
+        numbers = ["Storage", "Decomp", "Read", "Total", "TTFB(s)", "DecompLat(ms)"]
+        assert np.isfinite(table[numbers].to_numpy(dtype=float)).all()
+        files = {f.file_id for tf in tables.values() for f in tf.files}
+        for r in results.values():
+            assert set(r.assignment["pid"]) == {p.pid for p in r.partitions}
+            assert set().union(*(p.files for p in r.partitions)) == files, r.policy.key
 
     def test_columns_match_paper(self, grid):
         table, _ = grid

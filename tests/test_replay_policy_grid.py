@@ -13,7 +13,7 @@ from repro.experiments import table09
 def tiny_cases(monkeypatch):
     monkeypatch.setattr(rpg, "CASES", {"table09": (
         functools.partial(table09.inputs, sf=0.003, n_queries=150, n_files=10),
-        dict(max_rows=400, query_repeat=6.0, s_thresh_frac=0.1),
+        {**table09.PLAN, "max_rows": 400},
     )})
 
 
