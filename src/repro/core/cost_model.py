@@ -21,6 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+import pandas as pd
+
 #: Tier order used everywhere: index 0 is the lowest-latency layer (paper §IV-A).
 TIER_NAMES = ("premium", "hot", "cool", "archive")
 
@@ -103,19 +106,26 @@ def make_tiers(
     return tiers
 
 
-def tier_change_cost(src: str | None, dst: str) -> float:
-    """Δ(u, v): cents/GB to move data from tier ``src`` to ``dst`` (§IV-A).
+def tier_change_cost(src, dst, dst_write=None):
+    """Δ(u, v): cents/GB to move data from tier ``src`` to ``dst`` (§IV-A),
+    the read from ``src`` plus the write to ``dst``.
 
-    ``src is None`` (paper's ``L(P) = -1``) means newly ingested data: only
-    the write to ``dst`` is charged, i.e. ``C^w_dst = Δ(-1, dst)``.
-    Moving a partition to the tier it is already on costs nothing.
+    ``src`` and ``dst`` are tier names, or pandas Series of them for a
+    vectorised Δ; an array result keeps their length. ``src`` None (paper's
+    ``L(P) = -1``: newly ingested data), or a tier outside :data:`READ_COST`,
+    charges only the write, i.e. ``C^w_dst = Δ(-1, dst)``. Moving data to
+    the tier it is already on costs nothing. ``dst_write`` is ``C^w_dst``;
+    it defaults to :data:`WRITE_COST`, and a custom :class:`Tier` passes
+    its own ``write_cost``.
     """
-    if src == dst:
-        return 0.0
-    w = WRITE_COST[dst]
-    if src is None:
-        return w
-    return READ_COST[src] + w
+    if isinstance(src, pd.Series):
+        src_read = src.map(READ_COST).fillna(0.0)
+    else:
+        src_read = READ_COST.get(src, 0.0)
+    if dst_write is None:
+        dst_write = dst.map(WRITE_COST) if isinstance(dst, pd.Series) else WRITE_COST[dst]
+    delta = np.where(src == dst, 0.0, src_read + dst_write)
+    return delta if delta.ndim else float(delta)
 
 
 @dataclass(frozen=True)
@@ -199,13 +209,6 @@ def assignment_cost(
     *uncompressed* span, matching the paper's D_i^k "decompression time"
     per access of the partition (Table VIII reports sec/GB).
     """
-    if current_tier == tier.name:
-        delta = 0.0
-    else:
-        # Δ(u, v) = C^r_u + C^w_v; src read looked up by name (0 for new data
-        # or non-standard source tiers), dst write from the tier itself so
-        # custom Tier objects (tests, reductions) price correctly.
-        delta = (READ_COST.get(current_tier, 0.0) if current_tier else 0.0) + tier.write_cost
     return cost_terms(
         span_gb=span_gb,
         accesses=accesses,
@@ -213,7 +216,7 @@ def assignment_cost(
         storage_cost=tier.storage_cost,
         read_cost=tier.read_cost,
         ttfb=tier.ttfb,
-        delta=delta,
+        delta=tier_change_cost(current_tier, tier.name, tier.write_cost),
         ratio=ratio,
         decomp_sec_per_gb=decomp_sec_per_gb,
     )[1]

@@ -15,7 +15,18 @@ import heapq
 import itertools
 from dataclasses import dataclass
 
-from repro.core.ilp import FilePart, merge_feasible, span_of
+
+@dataclass(frozen=True)
+class FilePart:
+    """An initial partition = a set of files with sizes, plus access count."""
+
+    pid: str
+    files: frozenset[str]
+    rho: float
+
+
+def span_of(files: frozenset[str], file_sizes: dict[str, float]) -> float:
+    return sum(file_sizes[f] for f in files)
 
 
 @dataclass
@@ -27,6 +38,24 @@ class MergedPartition:
     files: frozenset[str]
     span: float
     rho: float
+
+
+def merge_feasible(
+    a: FilePart | MergedPartition,
+    b: FilePart | MergedPartition,
+    *,
+    rho_c: float,
+    rho_abs: float,
+) -> bool:
+    """Access-comparability constraint of §VI-A on two partitions' access
+    counts ``rho`` (initial partitions or G-PART nodes): ratio within ρ_c OR
+    absolute difference within ρ'_c."""
+    lo, hi = min(a.rho, b.rho), max(a.rho, b.rho)
+    if abs(a.rho - b.rho) <= rho_abs:
+        return True
+    if lo == 0:
+        return False
+    return hi / lo <= rho_c
 
 
 def _fractional_overlap(

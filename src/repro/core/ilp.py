@@ -10,12 +10,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.core import cost_model as cm
-
-if TYPE_CHECKING:
-    from repro.core.gpart import MergedPartition
+from repro.core.gpart import FilePart, merge_feasible, span_of
 
 
 # --------------------------------------------------------------------------
@@ -176,37 +173,6 @@ def solve_optassign_exact(
 # --------------------------------------------------------------------------
 # MERGE PARTITIONS exact (§VI, Theorem 4 oracle)
 # --------------------------------------------------------------------------
-@dataclass(frozen=True)
-class FilePart:
-    """An initial partition = a set of files with sizes, plus access count."""
-
-    pid: str
-    files: frozenset[str]
-    rho: float
-
-
-def span_of(files: frozenset[str], file_sizes: dict[str, float]) -> float:
-    return sum(file_sizes[f] for f in files)
-
-
-def merge_feasible(
-    a: FilePart | MergedPartition,
-    b: FilePart | MergedPartition,
-    *,
-    rho_c: float,
-    rho_abs: float,
-) -> bool:
-    """Access-comparability constraint of §VI-A on two partitions' access
-    counts ``rho`` (initial partitions or G-PART nodes): ratio within ρ_c OR
-    absolute difference within ρ'_c."""
-    lo, hi = min(a.rho, b.rho), max(a.rho, b.rho)
-    if abs(a.rho - b.rho) <= rho_abs:
-        return True
-    if lo == 0:
-        return False
-    return hi / lo <= rho_c
-
-
 def solve_merge_partitions_exact(
     parts: list[FilePart],
     file_sizes: dict[str, float],

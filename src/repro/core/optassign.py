@@ -74,9 +74,6 @@ def candidate_frame_numpy(
         }
     )
     cand = p.merge(t, how="cross").merge(s, on="pid")
-    # Δ(u, v) = C^r_u + C^w_v, zero when the partition stays on its tier.
-    src_read = cand["current_tier"].map(cm.READ_COST).fillna(0.0)
-    delta = np.where(cand["current_tier"] == cand["tier"], 0.0, src_read + cand["t_write"])
     stored_gb, a = cm.cost_terms(
         span_gb=cand["span_gb"],
         accesses=cand["accesses"],
@@ -84,7 +81,7 @@ def candidate_frame_numpy(
         storage_cost=cand["t_storage"],
         read_cost=cand["t_read"],
         ttfb=cand["t_ttfb"],
-        delta=delta,
+        delta=cm.tier_change_cost(cand["current_tier"], cand["tier"], cand["t_write"]),
         ratio=cand["ratio"],
         decomp_sec_per_gb=cand["decomp_sec_per_gb"],
     )

@@ -19,26 +19,32 @@ PAPER = pd.DataFrame(
 )
 PAPER_F1 = 0.96
 
+#: The storage account of Tables III and IV: its size, its seed, the months
+#: of logs, the test month, and the months of reads a prediction sees.
 N_DATASETS = 760
 TARGET_TB = 700.0
+SEED = 7
+MONTHS = 24
+T0 = 18
+WINDOW = 4
+#: Table III's prediction horizon, in months.
+HORIZON = 2
 
 
-def run(
-    *,
-    seed: int = 7,
-    months: int = 24,
-    horizon: int = 2,
-    window: int = 4,
-    t0_test: int = 18,
-) -> dict:
-    """Train out-of-time (t0 in [window+1, t0_test - horizon]), test at
-    ``t0_test``. Returns confusion matrix, F1, and the fitted pieces."""
-    meta, logs = al.gen_enterprise_logs(
-        n_datasets=N_DATASETS, months=months, seed=seed, total_gb=TARGET_TB * 1e3
+def account() -> tuple[pd.DataFrame, pd.DataFrame]:
+    """The account's dataset metadata and monthly access logs."""
+    return al.gen_enterprise_logs(
+        n_datasets=N_DATASETS, months=MONTHS, seed=SEED, total_gb=TARGET_TB * 1e3
     )
-    clf = al.train_tier_predictor(meta, logs, t0=t0_test, horizon=horizon, window=window)
-    predicted = al.predict_tiers(clf, meta, logs, t0=t0_test, window=window)
-    ideal = al.ideal_tiers(meta, logs, t0=t0_test, horizon=horizon)
+
+
+def run() -> dict:
+    """Train out-of-time (t0 in [WINDOW+1, T0 - HORIZON]), test at
+    :data:`T0`. Returns confusion matrix, F1, and the fitted pieces."""
+    meta, logs = account()
+    clf = al.train_tier_predictor(meta, logs, t0=T0, horizon=HORIZON, window=WINDOW)
+    predicted = al.predict_tiers(clf, meta, logs, t0=T0, window=WINDOW)
+    ideal = al.ideal_tiers(meta, logs, t0=T0, horizon=HORIZON)
     ideal = ideal.set_index("pid")["tier"].reindex(predicted.index)
     y_true, y_pred = ideal.to_numpy(), predicted.to_numpy()
     cmx = confusion_matrix(y_true, y_pred, labels=["hot", "cool"])

@@ -6,6 +6,7 @@ import pandas as pd
 
 from repro.core import compredict as cp
 from repro.experiments import common
+from repro.workload import queries as wq
 
 #: Paper Table VI, flattened: (model, scheme) -> (MAE, MAPE, R2).
 PAPER = pd.DataFrame(
@@ -34,18 +35,24 @@ SCHEMES = {
 }
 
 
+def inputs(
+    *, sf: float = 0.02, seed: int = 0, skew: float | None = None
+) -> dict[str, wq.TableFiles]:
+    """Table VI's TPC-H-lite tables, uniform by default."""
+    return common.tpch_table_files(sf=sf, seed=seed, skew=skew)
+
+
 def build_dataset(
     *,
-    sf: float = 0.02,
+    seed: int = 0,
     n_per_template: int = 8,
     max_rows: int = 2500,
-    seed: int = 0,
     repeats: int = 2,
-    skew: float | None = None,
+    **inputs_kw,
 ) -> pd.DataFrame:
-    from repro.workload import queries as wq
-
-    tables = common.tpch_table_files(sf=sf, seed=seed, skew=skew)
+    """COMPREDICT's labelled query samples: a TPC-H workload on
+    :func:`inputs`, both drawn on ``seed``."""
+    tables = inputs(seed=seed, **inputs_kw)
     queries = wq.gen_tpch_workload(tables, n_per_template=n_per_template, seed=seed)
     samples = common.query_samples(tables, queries, max_rows=max_rows)
     return cp.label_samples(samples, tuple(SCHEMES.values()), repeats=repeats)

@@ -19,7 +19,7 @@ from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
 from repro.core.compredict import ENTROPY_FEATURES
-from repro.core.ilp import FilePart
+from repro.core.gpart import FilePart
 from repro.workload.queries import Query
 
 

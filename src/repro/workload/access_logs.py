@@ -233,7 +233,7 @@ def policy_cost(
         storage_cost=tier.map(cm.STORAGE_COST),
         read_cost=tier.map(cm.READ_COST),
         ttfb=tier.map(cm.TTFB),
-        delta=tier.map(lambda t: cm.tier_change_cost(current_tier, t)),
+        delta=cm.tier_change_cost(current_tier, tier),
     )
     return float(cost.total.sum())
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import pandas as pd
 
-from repro.core.ilp import FilePart
+from repro.core.gpart import FilePart
 
 
 @dataclass(frozen=True)
@@ -250,15 +250,16 @@ def gen_zipf_workload(
     tables: dict[str, TableFiles],
     *,
     n_queries: int,
+    sort_cols: dict[str, str],
     alpha: float = 1.5,
     seed: int = 0,
-    sort_cols: dict[str, str] | None = None,
 ) -> list[Query]:
     """Enterprise workload: Zipf-popular row windows, recency-skewed.
 
     File *positions from the end* (most recent data first — Fig 1b recency)
     are drawn Zipf(α); window length is geometric. Predicates are on the
-    table's clustering column so the file mapping is tight.
+    table's clustering column ``sort_cols[table]`` so the file mapping is
+    tight.
     """
     g = np.random.default_rng(seed)
     names = sorted(tables)
@@ -281,11 +282,7 @@ def gen_zipf_workload(
         touched = tf.files[start_idx : start_idx + length]
         lo, hi = touched[0].row_lo, touched[-1].row_hi
         # Express as a predicate on the clustering column's value range.
-        col = (
-            sort_cols[tf.table]
-            if sort_cols and tf.table in sort_cols
-            else next(iter(touched[0].stats))
-        )
+        col = sort_cols[tf.table]
         c_lo = touched[0].stats[col][0]
         c_hi = touched[-1].stats[col][1]
         if isinstance(c_lo, pd.Timestamp):

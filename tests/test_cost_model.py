@@ -1,6 +1,7 @@
 """Tables I & XII constants and the OPTASSIGN cost formulas."""
 import math
 
+import pandas as pd
 import pytest
 
 from repro.core import cost_model as cm
@@ -93,6 +94,15 @@ class TestTierChange:
 
     def test_archive_read_dominates_exit_cost(self):
         assert cm.tier_change_cost("archive", "hot") > 16.0
+
+    def test_series_equal_scalars(self):
+        """Δ over Series of tier names, as the candidate frame and the
+        access-log policy cost call it, equals Δ per pair."""
+        src = pd.Series([s for s in (None, *cm.TIER_NAMES) for _ in cm.TIER_NAMES])
+        dst = pd.Series([d for _ in (None, *cm.TIER_NAMES) for d in cm.TIER_NAMES])
+        pairs = [cm.tier_change_cost(s, d) for s, d in zip(src, dst)]
+        assert list(cm.tier_change_cost(src, dst)) == pairs
+        assert list(cm.tier_change_cost("hot", dst[:4])) == pairs[8:12]
 
 
 class TestAssignmentCost:

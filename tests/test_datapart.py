@@ -16,7 +16,7 @@ from repro.core.datapart import (
     ordered_brute_force,
     ordered_dp,
 )
-from repro.core.ilp import FilePart
+from repro.core.gpart import FilePart
 from repro.workload.queries import Query, workload_fileparts
 
 

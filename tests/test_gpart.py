@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import gpart as gp
-from repro.core.gpart import duplication, gpart, merge_all, read_cost
-from repro.core.ilp import FilePart, solve_merge_partitions_exact, span_of
+from repro.core.gpart import FilePart, duplication, gpart, merge_all, read_cost, span_of
+from repro.core.ilp import solve_merge_partitions_exact
 from repro.workload.queries import workload_fileparts
 
 FS = {f"f{i}": 1.0 for i in range(12)}

@@ -5,16 +5,14 @@ import math
 import pytest
 
 from repro.core import cost_model as cm
+from repro.core.gpart import FilePart, merge_feasible, span_of
 from repro.core.ilp import (
-    FilePart,
     NO_COMPRESSION_PRED,
     PartitionSpec,
     SchemePrediction,
     enumerate_options,
-    merge_feasible,
     solve_merge_partitions_exact,
     solve_optassign_exact,
-    span_of,
 )
 
 

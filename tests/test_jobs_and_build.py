@@ -1,9 +1,11 @@
-"""Smoke coverage for the job entrypoints and the offline build backend
-(neither runs a full job — benches cover the heavy paths)."""
+"""Smoke coverage for the job entrypoint ``jobs/scope.py`` and the offline
+build backend (no job runs at full size — benches cover the heavy paths)."""
+import functools
 import importlib
 import importlib.util
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import zipfile
@@ -11,16 +13,18 @@ import zipfile
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-JOB_FILES = sorted(p for p in (ROOT / "jobs").glob("*.py") if p.name != "_common.py")
+SCOPE = ROOT / "jobs" / "scope.py"
 TABLES = [f"{n:02d}" for n in range(2, 12)]
-#: Every entry command: each job file, and ``run_table.py NN`` as tableNN.
-COMMANDS = {p.stem: p for p in JOB_FILES if p.stem != "run_table"} | {
-    f"table{nn}": ROOT / "jobs" / "run_table.py" for nn in TABLES
+#: Every command of ``jobs/scope.py`` by name, with its arguments.
+COMMANDS = {f"table{nn}": ["table", nn] for nn in TABLES} | {
+    "scope_pipeline": ["pipeline"],
+    "gpart_job": ["gpart"],
+    "compredict_job": ["entropy"],
 }
 
 
-def _load(path: pathlib.Path):
-    spec = importlib.util.spec_from_file_location(f"job_{path.stem}", path)
+def _load():
+    spec = importlib.util.spec_from_file_location("scope_job", SCOPE)
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -28,34 +32,41 @@ def _load(path: pathlib.Path):
 
 class TestJobs:
     def test_one_job_per_table(self, monkeypatch):
-        """``run_table.py NN`` calls ``repro.experiments.tableNN.run`` (stubbed
-        here, so no table is computed) for every table of the paper."""
+        """``table NN`` calls ``repro.experiments.tableNN.run`` (stubbed
+        here, so no table is computed) for every table of the paper, and
+        no other number."""
         import pandas as pd
 
-        job = _load(ROOT / "jobs" / "run_table.py")
+        job = _load()
         called = []
         for nn in TABLES:
             table = importlib.import_module(f"repro.experiments.table{nn}")
             monkeypatch.setattr(
                 table, "run", lambda nn=nn: called.append(nn) or pd.DataFrame()
             )
-            job.main([nn])
+            job.main(["table", nn])
         assert called == TABLES
-        for extra in ("optassign_job", "gpart_job", "compredict_job", "scope_pipeline"):
-            assert extra in COMMANDS
+        with pytest.raises(SystemExit):
+            job.main(["table", "12"])
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))
-    def test_job_importable_with_main(self, name):
-        mod = _load(COMMANDS[name])
-        assert callable(mod.main)
+    def test_job_importable_with_main(self, name, monkeypatch):
+        """Each command line reaches its job (stubbed here) and only it."""
+        job = _load()
+        called = []
+        monkeypatch.setattr(job, "table_job", lambda nn: called.append(["table", nn]))
+        for key in job.JOBS:
+            monkeypatch.setitem(job.JOBS, key, lambda key=key: called.append([key]))
+        job.main(COMMANDS[name])
+        assert called == [COMMANDS[name]]
 
     def test_scope_pipeline_places_the_plan(self, monkeypatch, capsys):
-        """The job writes every partition that ``scope_total`` planned, on a
-        tiny Table IX configuration."""
+        """``pipeline`` writes every partition that ``scope_total`` planned,
+        on a tiny Table IX configuration."""
         from repro.experiments import table09
         from repro.storage import tiers
 
-        job = _load(ROOT / "jobs" / "scope_pipeline.py")
+        job = _load()
         planned, stores = [], []
         run = table09.run
 
@@ -71,7 +82,7 @@ class TestJobs:
 
         monkeypatch.setattr(table09, "run", tiny)
         monkeypatch.setattr(job, "TieredStore", Recording)
-        job.main()
+        job.main(["pipeline"])
         (plan,), (store,) = planned, stores
         assert set(plan.assignment["pid"]) <= set(store.catalog)
         for row in plan.assignment.itertuples(index=False):
@@ -79,15 +90,48 @@ class TestJobs:
             assert (meta.tier, meta.scheme) == (row.tier, row.scheme)
         assert "Tiered-write bill" in capsys.readouterr().out
 
+    def test_gpart_job_counts_the_pipeline_partitions(self, spark, monkeypatch, capsys):
+        """``gpart`` on a tiny Table IX log, on the suite's session: its
+        families are ``workload_fileparts``' and its partitions are the
+        pipeline's G-PART partitions. The session it did not start stays up."""
+        from repro.core import pipeline as pl
+        from repro.experiments import table09
+        from repro.workload.queries import workload_fileparts
+
+        tiny = functools.partial(table09.inputs, sf=0.002, n_queries=200, n_files=10)
+        monkeypatch.setattr(table09, "inputs", tiny)
+        _load().main(["gpart"])
+        first = capsys.readouterr().out.splitlines()[0]
+        counts = re.fullmatch(r"(\d+) queries -> (\d+) families -> (\d+) partitions", first)
+        n_queries, n_families, n_partitions = map(int, counts.groups())
+        tables, queries = tiny()
+        parted = pl.gpart_partitions(
+            tables, queries, max_rows=50, s_thresh_frac=table09.PLAN["s_thresh_frac"]
+        )
+        assert n_queries == len(queries)
+        assert n_families == len(workload_fileparts(queries))
+        assert n_partitions == sum(not p.pid.startswith("rest_") for p in parted) > 0
+        assert spark.range(3).count() == 3
+
+    def test_entropy_job_prints_each_table(self, spark, monkeypatch, capsys):
+        """``entropy`` prints the weighted-entropy features of every Table VI
+        table, here at a tiny scale factor, on the suite's session."""
+        from repro.core.compredict import ENTROPY_FEATURES
+        from repro.experiments import table06
+
+        tables = table06.inputs(sf=0.001)
+        monkeypatch.setattr(table06, "inputs", lambda: tables)
+        _load().main(["entropy"])
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" ", 1)[0] for line in lines] == list(tables)
+        for line in lines:
+            assert all(f"'{f}'" in line for f in ENTROPY_FEATURES)
+        assert spark.range(3).count() == 3
+
     def test_common_show_formats(self, capsys):
         import pandas as pd
 
-        sys.path.insert(0, str(ROOT / "jobs"))
-        try:
-            from _common import show
-        finally:
-            sys.path.pop(0)
-        show("t", pd.DataFrame({"a": [1]}), pd.DataFrame({"a": [2]}))
+        _load().show("t", pd.DataFrame({"a": [1]}), pd.DataFrame({"a": [2]}))
         out = capsys.readouterr().out
         assert "paper" in out and "reproduction" in out
 
