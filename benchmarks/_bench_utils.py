@@ -8,9 +8,9 @@ def record(results_dir: pathlib.Path, name: str, paper, ours, extra: str = "") -
     """Persist paper-vs-measured tables to benchmarks/results/<name>.txt."""
     txt = [
         f"=== {name}: paper ===",
-        paper.to_string(index=False) if hasattr(paper, "to_string") else str(paper),
+        paper.to_string(index=False),
         f"=== {name}: this reproduction ===",
-        ours.to_string(index=False) if hasattr(ours, "to_string") else str(ours),
+        ours.to_string(index=False),
     ]
     if extra:
         txt.append(extra)

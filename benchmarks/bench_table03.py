@@ -4,9 +4,9 @@ from repro.experiments import table03
 
 
 def test_table03(benchmark, results_dir):
-    res = benchmark.pedantic(table03.run, rounds=1, iterations=1)
+    confusion, res = benchmark.pedantic(table03.run, rounds=1, iterations=1)
     record(
-        results_dir, "table03", table03.PAPER, res["confusion"],
+        results_dir, "table03", table03.PAPER, confusion,
         extra=f"F1 hot={res['f1_hot']:.4f} cool={res['f1_cool']:.4f} "
         f"(paper: F1 > {table03.PAPER_F1})",
     )

@@ -31,7 +31,7 @@ def show(title: str, paper, ours) -> None:
     print("--- paper ---")
     print(paper.to_string(index=False))
     print("--- this reproduction ---")
-    print(ours.to_string(index=False) if hasattr(ours, "to_string") else ours, flush=True)
+    print(ours.to_string(index=False), flush=True)
 
 
 @contextlib.contextmanager

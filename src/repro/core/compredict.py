@@ -142,8 +142,7 @@ MODEL_FACTORIES: dict[str, Callable[[], object]] = {
     "Neural Network": lambda: MLPRegressor(hidden=(64, 32), epochs=400, random_state=0),
     "SVR": lambda: RidgeRegressor(alpha=1.0),
     "Random Forest": lambda: RandomForestRegressor(
-        n_estimators=60, max_depth=12, max_features=None, min_samples_leaf=1,
-        random_state=0,
+        n_estimators=60, max_features=None, random_state=0
     ),
 }
 
@@ -160,20 +159,24 @@ def train_eval(
     model_factory: Callable[[], object],
     seed: int = 0,
 ) -> dict[str, float]:
-    """Shuffled train/test split (``TEST_FRAC`` held out), fit, and the
-    paper's metrics (MAE/MAPE/R²)."""
+    """Shuffled train/test split (``TEST_FRAC`` held out), then :func:`score`."""
     g = np.random.default_rng(seed)
     idx = g.permutation(len(dataset))
     n_test = max(1, int(len(dataset) * TEST_FRAC))
     test, train = idx[:n_test], idx[n_test:]
     X = dataset[list(features)].to_numpy(dtype=float)
     y = dataset[target].to_numpy(dtype=float)
-    model = model_factory().fit(X[train], y[train])
-    pred = model.predict(X[test])
+    return score(model_factory, X[train], y[train], X[test], y[test])
+
+
+def score(model_factory, X_train, y_train, X_test, y_test) -> dict[str, float]:
+    """Fit a new model on the training rows; the paper's metrics
+    (MAE/MAPE/R²) of its predictions for the test rows."""
+    pred = model_factory().fit(X_train, y_train).predict(X_test)
     return {
-        "MAE": mae(y[test], pred),
-        "MAPE": mape(y[test], pred),
-        "R2": r2(y[test], pred),
+        "MAE": mae(y_test, pred),
+        "MAPE": mape(y_test, pred),
+        "R2": r2(y_test, pred),
     }
 
 

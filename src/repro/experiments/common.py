@@ -10,6 +10,33 @@ from repro.core import compredict as cp
 from repro.workload import queries as wq
 
 
+def _table_files(
+    pdfs: dict[str, pd.DataFrame],
+    sort_cols: dict[str, str],
+    *,
+    n_files: int,
+    logical_total_gb: float | None,
+) -> dict[str, wq.TableFiles]:
+    """Each frame split into files; with ``logical_total_gb``, each table's
+    logical size is its share of the frames' physical bytes."""
+    phys = {n: p.memory_usage(deep=True).sum() for n, p in pdfs.items()}
+    total_phys = sum(phys.values())
+    return {
+        name: wq.split_table(
+            pdf,
+            name,
+            n_files=n_files,
+            sort_col=sort_cols[name],
+            logical_size_gb=(
+                logical_total_gb * phys[name] / total_phys
+                if logical_total_gb is not None
+                else None
+            ),
+        )
+        for name, pdf in pdfs.items()
+    }
+
+
 def tpch_table_files(
     *,
     sf: float,
@@ -24,23 +51,9 @@ def tpch_table_files(
         name: gen(sf=sf, seed=seed + i, skew=skew)
         for i, (name, gen) in enumerate(sd.TPCH_PDF.items())
     }
-    phys = {n: p.memory_usage(deep=True).sum() for n, p in pdfs.items()}
-    total_phys = sum(phys.values())
-    out = {}
-    for name, pdf in pdfs.items():
-        logical = (
-            logical_total_gb * phys[name] / total_phys
-            if logical_total_gb is not None
-            else None
-        )
-        out[name] = wq.split_table(
-            pdf,
-            name,
-            n_files=n_files,
-            sort_col=sd.TPCH_SORT_COL[name],
-            logical_size_gb=logical,
-        )
-    return out
+    return _table_files(
+        pdfs, sd.TPCH_SORT_COL, n_files=n_files, logical_total_gb=logical_total_gb
+    )
 
 
 def enterprise_table_files(
@@ -53,18 +66,9 @@ def enterprise_table_files(
         name: gen(sf=sf, seed=seed + 10 + i)
         for i, (name, gen) in enumerate(sd.ENTERPRISE_PDF.items())
     }
-    phys = {n: p.memory_usage(deep=True).sum() for n, p in pdfs.items()}
-    total_phys = sum(phys.values())
-    return {
-        name: wq.split_table(
-            pdf,
-            name,
-            n_files=n_files,
-            sort_col=sd.ENTERPRISE_SORT_COL[name],
-            logical_size_gb=1.5 * phys[name] / total_phys,
-        )
-        for name, pdf in pdfs.items()
-    }
+    return _table_files(
+        pdfs, sd.ENTERPRISE_SORT_COL, n_files=n_files, logical_total_gb=1.5
+    )
 
 
 #: Query results with fewer rows are too small to label a codec's ratio.

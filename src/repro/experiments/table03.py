@@ -38,9 +38,10 @@ def account() -> tuple[pd.DataFrame, pd.DataFrame]:
     )
 
 
-def run() -> dict:
+def run() -> tuple[pd.DataFrame, dict]:
     """Train out-of-time (t0 in [WINDOW+1, T0 - HORIZON]), test at
-    :data:`T0`. Returns confusion matrix, F1, and the fitted pieces."""
+    :data:`T0`. Returns the confusion matrix and a dict of both F1s, the
+    account's scale and the fitted pieces."""
     meta, logs = account()
     clf = al.train_tier_predictor(meta, logs, t0=T0, horizon=HORIZON, window=WINDOW)
     predicted = al.predict_tiers(clf, meta, logs, t0=T0, window=WINDOW)
@@ -48,10 +49,10 @@ def run() -> dict:
     ideal = ideal.set_index("pid")["tier"].reindex(predicted.index)
     y_true, y_pred = ideal.to_numpy(), predicted.to_numpy()
     cmx = confusion_matrix(y_true, y_pred, labels=["hot", "cool"])
-    return {
-        "confusion": pd.DataFrame(
-            cmx, index=["pred_hot", "pred_cool"], columns=["ideal_hot", "ideal_cool"]
-        ),
+    confusion = pd.DataFrame(
+        cmx, index=["pred_hot", "pred_cool"], columns=["ideal_hot", "ideal_cool"]
+    )
+    return confusion, {
         "f1_hot": f1_score(y_true, y_pred, positive="hot"),
         "f1_cool": f1_score(y_true, y_pred, positive="cool"),
         "n_datasets": len(predicted),

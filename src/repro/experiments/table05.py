@@ -58,15 +58,8 @@ def run(
     test, train = q_data.iloc[idx[:n_test]], q_data.iloc[idx[n_test:]]
     rf = cp.MODEL_FACTORIES["Random Forest"]
 
-    def eval_row(train_df, features, target):
-        X_tr = train_df[list(features)].to_numpy(dtype=float)
-        y_tr = train_df[target].to_numpy(dtype=float)
-        model = rf().fit(X_tr, y_tr)
-        pred = model.predict(test[list(features)].to_numpy(dtype=float))
-        y_te = test[target].to_numpy(dtype=float)
-        from repro.ml.metrics import mae, mape, r2
-
-        return round(mae(y_te, pred), 4), round(mape(y_te, pred), 3), round(r2(y_te, pred), 3)
+    def xy(df, features, target):
+        return df[list(features)].to_numpy(dtype=float), df[target].to_numpy(dtype=float)
 
     ent = cp.ENTROPY_FEATURES
     size = cp.SIZE_FEATURES
@@ -81,6 +74,9 @@ def run(
             ("Queries", train, ent),
         ]:
             feat_name = "Weighted Entropy" if feats is ent else "Size"
-            m = eval_row(train_df, feats, target)
-            rows.append((target_name, data_name, feat_name, *m))
+            m = cp.score(rf, *xy(train_df, feats, target), *xy(test, feats, target))
+            rows.append((
+                target_name, data_name, feat_name,
+                round(m["MAE"], 4), round(m["MAPE"], 3), round(m["R2"], 3),
+            ))
     return pd.DataFrame(rows, columns=PAPER.columns)

@@ -1,7 +1,7 @@
 """Random forests (bagging + per-split feature sub-sampling) on the CART trees.
 
 The paper's best model for both the access predictor (§IV-C, F1 > 0.96) and
-COMPREDICT (§V, Tables V–VI).
+COMPREDICT (§V, Tables V–VI). Every tree grows to the trees' default depth.
 """
 from __future__ import annotations
 
@@ -15,46 +15,42 @@ class _BaseForest:
         self,
         n_estimators: int = 100,
         *,
-        max_depth: int = 12,
-        min_samples_leaf: int = 1,
-        max_features: int | float | None = "sqrt",
+        max_features: int | str | None = "sqrt",
         random_state: int = 0,
     ):
         self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
         self.trees_: list = []
 
-    def _resolve_max_features(self, d: int):
-        if self.max_features == "sqrt":
-            return max(1, int(np.sqrt(d)))
-        return self.max_features
-
-    def _bootstrap(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.integers(0, n, size=n)
+    def _fit(self, X, y: np.ndarray, complete) -> "_BaseForest":
+        """Fit ``n_estimators`` trees on bootstrap samples of (X, y), each
+        redrawn up to 50 times while ``complete(y_sample)`` is false."""
+        X = np.asarray(X, dtype=float)
+        n = len(y)
+        rng = np.random.default_rng(self.random_state)
+        mf = self.max_features
+        if mf == "sqrt":
+            mf = max(1, int(np.sqrt(X.shape[1])))
+        self.trees_ = []
+        for i in range(self.n_estimators):
+            idx = rng.integers(0, n, size=n)
+            for _ in range(50):
+                if complete(y[idx]):
+                    break
+                idx = rng.integers(0, n, size=n)
+            t = self._tree(max_features=mf, random_state=self.random_state * 7919 + i)
+            self.trees_.append(t.fit(X[idx], y[idx]))
+        return self
 
 
 class RandomForestRegressor(_BaseForest):
     """Mean-of-trees regressor."""
 
+    _tree = DecisionTreeRegressor
+
     def fit(self, X, y) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        rng = np.random.default_rng(self.random_state)
-        mf = self._resolve_max_features(X.shape[1])
-        self.trees_ = []
-        for i in range(self.n_estimators):
-            idx = self._bootstrap(rng, len(y))
-            t = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=mf,
-                random_state=self.random_state * 7919 + i,
-            ).fit(X[idx], y[idx])
-            self.trees_.append(t)
-        return self
+        return self._fit(X, np.asarray(y, dtype=float).ravel(), lambda y_boot: True)
 
     def predict(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -64,40 +60,23 @@ class RandomForestRegressor(_BaseForest):
 class RandomForestClassifier(_BaseForest):
     """Probability-averaging classifier."""
 
+    _tree = DecisionTreeClassifier
+
     def fit(self, X, y) -> "RandomForestClassifier":
-        X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         self.classes_ = np.unique(y)
-        rng = np.random.default_rng(self.random_state)
-        mf = self._resolve_max_features(X.shape[1])
-        self.trees_ = []
-        for i in range(self.n_estimators):
-            idx = self._bootstrap(rng, len(y))
-            # Resample until the bootstrap contains every class so that
-            # per-tree probability vectors align with self.classes_.
-            tries = 0
-            while len(np.unique(y[idx])) < len(self.classes_) and tries < 50:
-                idx = self._bootstrap(rng, len(y))
-                tries += 1
-            t = DecisionTreeClassifier(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                max_features=mf,
-                random_state=self.random_state * 7919 + i,
-            ).fit(X[idx], y[idx])
-            self.trees_.append(t)
-        return self
+        # A bootstrap holding every class keeps each tree's probability
+        # columns equal to self.classes_.
+        return self._fit(
+            X, y, lambda y_boot: len(np.unique(y_boot)) == len(self.classes_)
+        )
 
     def predict_proba(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         probs = np.zeros((len(X), len(self.classes_)))
         for t in self.trees_:
-            p = t.predict_proba(X)
-            # Map tree-local class order onto the forest's class order.
-            col = {c: j for j, c in enumerate(t.classes_)}
-            for j, c in enumerate(self.classes_):
-                if c in col:
-                    probs[:, j] += p[:, col[c]]
+            # A tree whose bootstrap missed a class lacks its column.
+            probs[:, np.searchsorted(self.classes_, t.classes_)] += t.predict_proba(X)
         return probs / len(self.trees_)
 
     def predict(self, X) -> np.ndarray:

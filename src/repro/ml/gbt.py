@@ -17,13 +17,11 @@ class GradientBoostedTreesRegressor:
         *,
         learning_rate: float = 0.1,
         max_depth: int = 3,
-        min_samples_leaf: int = 1,
         random_state: int = 0,
     ):
         self.n_estimators = n_estimators
         self.learning_rate = learning_rate
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.random_state = random_state
         self.init_: float = 0.0
         self.trees_: list[DecisionTreeRegressor] = []
@@ -39,9 +37,7 @@ class GradientBoostedTreesRegressor:
             if np.max(np.abs(resid)) < 1e-12:
                 break
             t = DecisionTreeRegressor(
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                random_state=self.random_state * 31 + i,
+                max_depth=self.max_depth, random_state=self.random_state * 31 + i
             ).fit(X, resid)
             pred = pred + self.learning_rate * t.predict(X)
             self.trees_.append(t)

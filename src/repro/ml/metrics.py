@@ -14,10 +14,11 @@ def mae(y_true, y_pred) -> float:
     return float(np.mean(np.abs(yt - yp)))
 
 
-def mape(y_true, y_pred, *, eps: float = 1e-12) -> float:
-    """Mean absolute percentage error (in %), as reported in Tables V–VIII."""
+def mape(y_true, y_pred) -> float:
+    """Mean absolute percentage error (in %), as reported in Tables V–VIII;
+    a zero true value divides by 1e-12."""
     yt, yp = _arr(y_true), _arr(y_pred)
-    return float(np.mean(np.abs(yt - yp) / np.maximum(np.abs(yt), eps)) * 100)
+    return float(np.mean(np.abs(yt - yp) / np.maximum(np.abs(yt), 1e-12)) * 100)
 
 
 def r2(y_true, y_pred) -> float:

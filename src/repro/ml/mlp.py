@@ -8,6 +8,10 @@ from __future__ import annotations
 
 import numpy as np
 
+#: Adam step size and L2 weight penalty.
+LR = 1e-2
+L2 = 1e-4
+
 
 class MLPRegressor:
     def __init__(
@@ -15,14 +19,10 @@ class MLPRegressor:
         hidden: tuple[int, ...] = (64, 32),
         *,
         epochs: int = 400,
-        lr: float = 1e-2,
-        l2: float = 1e-4,
         random_state: int = 0,
     ):
         self.hidden = hidden
         self.epochs = epochs
-        self.lr = lr
-        self.l2 = l2
         self.random_state = random_state
 
     def _init(self, d_in: int, rng: np.random.Generator):
@@ -61,7 +61,7 @@ class MLPRegressor:
             # backward (MSE)
             grad = ((pred - t) / n).reshape(-1, 1)
             for i in range(len(self.W) - 1, -1, -1):
-                gW = acts[i].T @ grad + self.l2 * self.W[i]
+                gW = acts[i].T @ grad + L2 * self.W[i]
                 gb = grad.sum(axis=0)
                 if i > 0:
                     grad = (grad @ self.W[i].T) * (acts[i] > 0)
@@ -73,8 +73,8 @@ class MLPRegressor:
                 vWh = vW[i] / (1 - b2**step)
                 mbh = mb[i] / (1 - b1**step)
                 vbh = vb[i] / (1 - b2**step)
-                self.W[i] -= self.lr * mWh / (np.sqrt(vWh) + eps)
-                self.b[i] -= self.lr * mbh / (np.sqrt(vbh) + eps)
+                self.W[i] -= LR * mWh / (np.sqrt(vWh) + eps)
+                self.b[i] -= LR * mbh / (np.sqrt(vbh) + eps)
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -1,5 +1,8 @@
 """CART decision trees in numpy (regression: MSE splits; classification: Gini).
 
+One grower with a pluggable split search (Breiman et al. 1984): targets are
+a float vector or one-hot rows, and each leaf stores their mean.
+
 Vectorised split search: for every feature the candidate thresholds are the
 midpoints of sorted unique values, and split quality is computed from
 cumulative sums in O(n log n) per feature. Sufficient for the paper's data
@@ -25,7 +28,7 @@ class _Node:
         return self.left is None
 
 
-def _best_split_mse(X: np.ndarray, y: np.ndarray, feat_idx: np.ndarray, min_leaf: int):
+def _best_split_mse(X: np.ndarray, y: np.ndarray, feat_idx: np.ndarray):
     """Best (feature, threshold) by SSE reduction; None if no valid split."""
     n = len(y)
     best = (None, None, 0.0)  # feature, threshold, gain
@@ -37,7 +40,7 @@ def _best_split_mse(X: np.ndarray, y: np.ndarray, feat_idx: np.ndarray, min_leaf
         csq = np.cumsum(ys**2)
         total, total_sq = csum[-1], csq[-1]
         ks = np.arange(1, n)  # left sizes
-        valid = (xs[1:] > xs[:-1]) & (ks >= min_leaf) & (n - ks >= min_leaf)
+        valid = xs[1:] > xs[:-1]
         if not valid.any():
             continue
         left_sum, left_sq = csum[:-1], csq[:-1]
@@ -56,7 +59,7 @@ def _best_split_mse(X: np.ndarray, y: np.ndarray, feat_idx: np.ndarray, min_leaf
     return best
 
 
-def _best_split_gini(X, y_onehot, feat_idx, min_leaf):
+def _best_split_gini(X, y_onehot, feat_idx):
     """Best split by Gini impurity decrease; y_onehot is (n, n_classes)."""
     n = len(y_onehot)
     best = (None, None, 0.0)
@@ -67,7 +70,7 @@ def _best_split_gini(X, y_onehot, feat_idx, min_leaf):
         xs = X[order, f]
         cum = np.cumsum(y_onehot[order], axis=0)
         ks = np.arange(1, n)
-        valid = (xs[1:] > xs[:-1]) & (ks >= min_leaf) & (n - ks >= min_leaf)
+        valid = xs[1:] > xs[:-1]
         if not valid.any():
             continue
         left = cum[:-1]
@@ -84,34 +87,56 @@ def _best_split_gini(X, y_onehot, feat_idx, min_leaf):
 
 
 class _BaseTree:
+    """The CART grower; a subclass supplies ``_best_split`` and ``_targets``
+    (the training labels as the rows the split search and leaves average)."""
+
     def __init__(
         self,
         *,
         max_depth: int = 12,
-        min_samples_leaf: int = 1,
-        max_features: int | float | None = None,
+        max_features: int | None = None,
         random_state: int | None = None,
     ):
         self.max_depth = max_depth
-        self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
         self._root: _Node | None = None
         self.n_features_: int = 0
 
+    def fit(self, X, y):
+        X = np.asarray(X, dtype=float)
+        y = self._targets(y)
+        if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
+            raise ValueError("X must be 2-D and match y; need >= 1 sample")
+        self.n_features_ = X.shape[1]
+        rng = np.random.default_rng(self.random_state)
+        self._root = self._grow(X, y, 0, rng)
+        return self
+
     def _feat_subset(self, rng: np.random.Generator) -> np.ndarray:
         d = self.n_features_
         if self.max_features is None:
             return np.arange(d)
-        k = self.max_features
-        if isinstance(k, float):
-            k = max(1, int(round(k * d)))
-        k = min(max(1, int(k)), d)
-        return rng.choice(d, size=k, replace=False)
+        return rng.choice(d, size=min(max(1, self.max_features), d), replace=False)
 
-    def _predict_rows(self, X: np.ndarray):
+    def _grow(self, X, y, depth, rng) -> _Node:
+        # One row, or all rows alike, is pure: np.all(y == y[0]).
+        if depth >= self.max_depth or np.all(y == y[0]):
+            return _Node(value=y.mean(axis=0))
+        f, thr, gain = self._best_split(X, y, self._feat_subset(rng))
+        if f is None:
+            return _Node(value=y.mean(axis=0))
+        mask = X[:, f] <= thr
+        return _Node(
+            feature=f,
+            threshold=thr,
+            left=self._grow(X[mask], y[mask], depth + 1, rng),
+            right=self._grow(X[~mask], y[~mask], depth + 1, rng),
+        )
+
+    def _predict_rows(self, X) -> list:
         out = []
-        for row in X:
+        for row in np.asarray(X, dtype=float):
             node = self._root
             while not node.is_leaf:
                 node = node.left if row[node.feature] <= node.threshold else node.right
@@ -122,75 +147,25 @@ class _BaseTree:
 class DecisionTreeRegressor(_BaseTree):
     """MSE-split CART regressor."""
 
-    def fit(self, X, y) -> "DecisionTreeRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
-            raise ValueError("X must be 2-D and match y; need >= 1 sample")
-        self.n_features_ = X.shape[1]
-        rng = np.random.default_rng(self.random_state)
-        self._root = self._grow(X, y, 0, rng)
-        return self
+    _best_split = staticmethod(_best_split_mse)
 
-    def _grow(self, X, y, depth, rng) -> _Node:
-        if (
-            depth >= self.max_depth
-            or len(y) < 2 * self.min_samples_leaf
-            or np.all(y == y[0])
-        ):
-            return _Node(value=float(y.mean()))
-        f, thr, gain = _best_split_mse(X, y, self._feat_subset(rng), self.min_samples_leaf)
-        if f is None:
-            return _Node(value=float(y.mean()))
-        mask = X[:, f] <= thr
-        return _Node(
-            feature=f,
-            threshold=thr,
-            left=self._grow(X[mask], y[mask], depth + 1, rng),
-            right=self._grow(X[~mask], y[~mask], depth + 1, rng),
-        )
+    def _targets(self, y) -> np.ndarray:
+        return np.asarray(y, dtype=float).ravel()
 
     def predict(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         return np.array(self._predict_rows(X), dtype=float)
 
 
 class DecisionTreeClassifier(_BaseTree):
     """Gini-split CART classifier; leaves store class-probability vectors."""
 
-    def fit(self, X, y) -> "DecisionTreeClassifier":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y)
-        if X.ndim != 2 or len(X) != len(y) or len(y) == 0:
-            raise ValueError("X must be 2-D and match y; need >= 1 sample")
-        self.classes_, y_idx = np.unique(y, return_inverse=True)
-        onehot = np.eye(len(self.classes_))[y_idx]
-        self.n_features_ = X.shape[1]
-        rng = np.random.default_rng(self.random_state)
-        self._root = self._grow(X, onehot, 0, rng)
-        return self
+    _best_split = staticmethod(_best_split_gini)
 
-    def _grow(self, X, oh, depth, rng) -> _Node:
-        probs = oh.mean(axis=0)
-        if (
-            depth >= self.max_depth
-            or len(oh) < 2 * self.min_samples_leaf
-            or probs.max() == 1.0
-        ):
-            return _Node(value=probs)
-        f, thr, gain = _best_split_gini(X, oh, self._feat_subset(rng), self.min_samples_leaf)
-        if f is None:
-            return _Node(value=probs)
-        mask = X[:, f] <= thr
-        return _Node(
-            feature=f,
-            threshold=thr,
-            left=self._grow(X[mask], oh[mask], depth + 1, rng),
-            right=self._grow(X[~mask], oh[~mask], depth + 1, rng),
-        )
+    def _targets(self, y) -> np.ndarray:
+        self.classes_, y_idx = np.unique(np.asarray(y), return_inverse=True)
+        return np.eye(len(self.classes_))[y_idx]
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         return np.vstack(self._predict_rows(X))
 
     def predict(self, X) -> np.ndarray:

@@ -14,7 +14,7 @@ starts a JVM. The two jobs here each equal a driver-side path, tested:
 from __future__ import annotations
 
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, Window
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
@@ -79,6 +79,7 @@ def weighted_entropy(df: DataFrame) -> dict[str, float]:
     for f_ in df.schema.fields:
         cls = _SPARK_CLASS.get(type(f_.dataType), "object")
         by_class.setdefault(cls, []).append(f_.name)
+    n_rows = df.count()
     for d, cols in by_class.items():
         stacked = None
         for c in cols:
@@ -91,9 +92,9 @@ def weighted_entropy(df: DataFrame) -> dict[str, float]:
             part = df.select(col.alias("v"))
             stacked = part if stacked is None else stacked.unionByName(part)
         counts = stacked.groupBy("v").agg(F.count("*").alias("c"))
+        # The counts sum to the stacked row count, rows x columns of the class.
         row = (
-            counts.withColumn("total", F.sum("c").over(Window.partitionBy(F.lit(1))))
-            .withColumn("pr", F.col("c") / F.col("total"))
+            counts.withColumn("pr", F.col("c") / F.lit(n_rows * len(cols)))
             .agg(
                 (-F.sum(F.length("v") * F.col("pr") * F.log(F.col("pr")))).alias("H")
             )

@@ -13,7 +13,6 @@ disk are genuinely compressed and are the bytes ``codecs.measure`` labels.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -123,16 +122,3 @@ class TieredStore:
             cents += c
         self.meter.storage += cents
         return cents
-
-    def usage_gb(self) -> dict[str, float]:
-        """Stored GB per tier (for capacity accounting)."""
-        use = {t: 0.0 for t in self.tiers}
-        for meta in self.catalog.values():
-            use[meta.tier] += meta.stored_bytes / 2**30
-        return use
-
-    def dump_catalog(self, path: str | Path) -> None:
-        """Persist the catalog as JSON (for jobs inspecting results)."""
-        Path(path).write_text(
-            json.dumps({k: vars(m) for k, m in self.catalog.items()}, indent=2)
-        )

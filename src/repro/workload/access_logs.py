@@ -191,9 +191,9 @@ def train_tier_predictor(
         labels = ideal_tiers(meta, logs, t0=t, horizon=horizon, tier_names=tier_names)
         Xs.append(f[cols].to_numpy(dtype=float))
         ys.append(f["dataset_id"].map(labels.set_index("pid")["tier"]).to_numpy())
-    return RandomForestClassifier(
-        n_estimators=n_estimators, max_depth=12, random_state=0
-    ).fit(np.vstack(Xs), np.concatenate(ys))
+    return RandomForestClassifier(n_estimators=n_estimators, random_state=0).fit(
+        np.vstack(Xs), np.concatenate(ys)
+    )
 
 
 def predict_tiers(

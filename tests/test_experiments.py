@@ -72,20 +72,22 @@ class TestTable02:
 class TestTable03:
     def test_f1_above_paper_threshold(self, t03):
         """§IV-C claims F1 > 0.96 for the access predictor."""
-        assert t03["f1_hot"] > 0.95
-        assert t03["f1_cool"] > 0.95
+        _, res = t03
+        assert res["f1_hot"] > 0.95
+        assert res["f1_cool"] > 0.95
 
     def test_confusion_shape(self, t03):
-        cmx = t03["confusion"]
+        cmx, res = t03
         assert cmx.shape == (2, 2)
-        assert cmx.to_numpy().sum() == t03["n_datasets"]
+        assert cmx.to_numpy().sum() == res["n_datasets"]
         # Diagonal dominates, as in the paper's Table III.
         assert cmx.iloc[0, 0] > 10 * cmx.iloc[0, 1]
         assert cmx.iloc[1, 1] > 10 * cmx.iloc[1, 0]
 
     def test_account_scale(self, t03):
-        assert t03["total_tb"] == pytest.approx(700.0, rel=0.01)
-        assert 600 <= t03["n_datasets"] <= 760
+        _, res = t03
+        assert res["total_tb"] == pytest.approx(700.0, rel=0.01)
+        assert 600 <= res["n_datasets"] <= 760
 
 
 class TestTable04:

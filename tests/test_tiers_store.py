@@ -116,14 +116,6 @@ class TestBilling:
 
 
 class TestAccounting:
-    def test_usage_by_tier(self, store, frame):
-        store.put("a", frame, tier="hot", scheme=codecs.NO_COMPRESSION)
-        store.put("b", frame, tier="hot", scheme=codecs.NO_COMPRESSION)
-        store.put("c", frame, tier="cool", scheme=codecs.NO_COMPRESSION)
-        use = store.usage_gb()
-        assert use["hot"] > use["cool"] > 0
-        assert use["archive"] == 0.0
-
     def test_meter_total(self, store, frame):
         store.put("a", frame, tier="hot", scheme="csv+gzip")
         store.get("a")
@@ -131,12 +123,3 @@ class TestAccounting:
         m = store.meter
         assert m.total == pytest.approx(m.storage + m.read + m.write)
 
-    def test_dump_catalog(self, store, frame, tmp_path):
-        import json
-
-        store.put("a", frame, tier="hot", scheme="csv+gzip")
-        out = tmp_path / "cat.json"
-        store.dump_catalog(out)
-        cat = json.loads(out.read_text())
-        assert cat["a"]["tier"] == "hot"
-        assert cat["a"]["scheme"] == "csv+gzip"
